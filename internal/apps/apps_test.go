@@ -6,6 +6,7 @@ import (
 
 	"morpheus/internal/core"
 	"morpheus/internal/mvm"
+	"morpheus/internal/nvme"
 	"morpheus/internal/units"
 )
 
@@ -260,5 +261,81 @@ func TestModeString(t *testing.T) {
 	if ModeBaseline.String() != "baseline" || ModeMorpheus.String() != "morpheus" ||
 		ModeMorpheusP2P.String() != "morpheus+p2p" {
 		t.Fatal("mode names")
+	}
+}
+
+// TestStagedShardsDoNotAlias stages one generated dataset into two
+// systems, then mutates the caller's shards and overwrites one system's
+// flash. The other system's reads, replica copy and objects must not
+// change: staging copies, so experiments may share a point's shards.
+func TestStagedShardsDoNotAlias(t *testing.T) {
+	app, err := ByName("pagerank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := app.Generate(testScale, 3)
+	want := make([][]byte, len(shards))
+	for i, sh := range shards {
+		want[i] = append([]byte(nil), sh...)
+	}
+	sysA, sysB := newSystem(t, false, nil), newSystem(t, false, nil)
+	filesA, err := StageShards(sysA, app, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filesB, err := StageShards(sysB, app, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, sh := range shards {
+		for i := range sh {
+			sh[i] = 'x'
+		}
+	}
+	shards[0] = nil
+	lbasPerPage := int64(sysA.Cfg.SSD.Geometry.PageSize) / nvme.LBASize
+	for _, f := range filesA {
+		junk := bytes.Repeat([]byte{'#'}, int(f.Size))
+		if _, _, err := sysA.SSD.LoadFile(int64(f.SLBA)/lbasPerPage, junk); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for i, f := range filesB {
+		got, _, err := sysB.ReadRaw(0, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[i]) {
+			t.Fatalf("shard %d: system B's flash changed with the caller's slice or system A's flash", i)
+		}
+		for name, sys := range map[string]*core.System{"A": sysA, "B": sysB} {
+			if rep, ok := sys.ReplicaData(f.Name); !ok || !bytes.Equal(rep, want[i]) {
+				t.Fatalf("shard %d: system %s's replica copy changed", i, name)
+			}
+		}
+	}
+	if got, _, err := sysA.ReadRaw(0, filesA[0]); err != nil || bytes.Equal(got, want[0]) {
+		t.Fatalf("system A's flash was not overwritten (err %v)", err)
+	}
+
+	fresh := newSystem(t, false, nil)
+	files, _, err := Stage(fresh, app, testScale, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.ResetTimers()
+	sysB.ResetTimers()
+	ref, err := Run(fresh, app, files, ModeMorpheus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(sysB, app, filesB, ModeMorpheus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyObjects(ref, got); err != nil {
+		t.Fatalf("system B's objects differ from a freshly staged system's: %v", err)
 	}
 }

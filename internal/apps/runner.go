@@ -102,22 +102,38 @@ func (r *Report) DeserFraction() float64 {
 	return float64(r.Deser) / float64(r.Total)
 }
 
-// Stage generates the application's input at scale (fraction of the Table
-// I size) and writes one shard per thread onto the SSD. Call
-// sys.ResetTimers() afterwards, before Run.
-func Stage(sys *core.System, app *App, scale float64, seed int64) ([]*core.File, workload.Shards, error) {
+// Generate produces the application's input at scale (fraction of the
+// Table I size), one shard per thread. Staging copies the shards, so one
+// generated dataset can be staged into any number of systems.
+func (a *App) Generate(scale float64, seed int64) workload.Shards {
 	if scale <= 0 {
 		scale = 1.0 / 256
 	}
-	target := units.Bytes(float64(app.PaperInputSize) * scale)
-	shards := app.Gen(target, app.Threads, seed)
+	return a.Gen(units.Bytes(float64(a.PaperInputSize)*scale), a.Threads, seed)
+}
+
+// StageShards writes one shard per thread onto the SSD. The system keeps
+// its own copies; the caller's shards are neither retained nor modified.
+// Call sys.ResetTimers() afterwards, before Run.
+func StageShards(sys *core.System, app *App, shards workload.Shards) ([]*core.File, error) {
 	files := make([]*core.File, len(shards))
 	for i, sh := range shards {
 		f, err := sys.WriteFile(fmt.Sprintf("%s/shard%d", app.Name, i), sh)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		files[i] = f
+	}
+	return files, nil
+}
+
+// Stage generates the application's input at scale and stages it with
+// StageShards.
+func Stage(sys *core.System, app *App, scale float64, seed int64) ([]*core.File, workload.Shards, error) {
+	shards := app.Generate(scale, seed)
+	files, err := StageShards(sys, app, shards)
+	if err != nil {
+		return nil, nil, err
 	}
 	return files, shards, nil
 }

@@ -65,13 +65,14 @@ func ablSampled(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		shards := app.Generate(small.scale(), small.Seed)
 		exactOpts := small
 		exactOpts.Mutate = chain(small.Mutate, func(c *core.SystemConfig) { c.SSD.SampledExecution = false })
-		exact, _, err := runApp(app, apps.ModeMorpheus, exactOpts)
+		exact, _, err := runApp(app, apps.ModeMorpheus, exactOpts, shards)
 		if err != nil {
 			return nil, fmt.Errorf("ablation sampled (%s exact): %w", name, err)
 		}
-		sampled, _, err := runApp(app, apps.ModeMorpheus, small)
+		sampled, _, err := runApp(app, apps.ModeMorpheus, small, shards)
 		if err != nil {
 			return nil, fmt.Errorf("ablation sampled (%s sampled): %w", name, err)
 		}
@@ -99,7 +100,8 @@ func ablSoftFloat(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, _, err := runApp(app, apps.ModeBaseline, o)
+	shards := app.Generate(o.scale(), o.Seed)
+	base, _, err := runApp(app, apps.ModeBaseline, o, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +116,7 @@ func ablSoftFloat(o Options) (*Table, error) {
 			c.SSD.Cost.SoftFloat = cfg.sfCost
 			c.SSD.Cost.SoftFloatDiv = 2 * cfg.sfCost
 		})
-		morph, _, err := runApp(app, apps.ModeMorpheus, opts)
+		morph, _, err := runApp(app, apps.ModeMorpheus, opts, shards)
 		if err != nil {
 			return nil, fmt.Errorf("ablation softfloat: %w", err)
 		}
@@ -135,11 +137,12 @@ func ablMDTS(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	shards := app.Generate(o.scale(), o.Seed)
 	for _, mdts := range []units.Bytes{32 * units.KiB, 64 * units.KiB, 128 * units.KiB, 256 * units.KiB, 512 * units.KiB} {
 		mdts := mdts
 		opts := o
 		opts.Mutate = chain(o.Mutate, func(c *core.SystemConfig) { c.SSD.MDTS = mdts })
-		rep, _, err := runApp(app, apps.ModeMorpheus, opts)
+		rep, _, err := runApp(app, apps.ModeMorpheus, opts, shards)
 		if err != nil {
 			return nil, fmt.Errorf("ablation mdts: %w", err)
 		}
@@ -160,12 +163,13 @@ func ablCores(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	shards := app.Generate(o.scale(), o.Seed)
 	var oneCore units.Duration
 	for _, n := range []int{1, 2, 4, 8} {
 		n := n
 		opts := o
 		opts.Mutate = chain(o.Mutate, func(c *core.SystemConfig) { c.SSD.EmbeddedCores = n })
-		rep, _, err := runApp(app, apps.ModeMorpheus, opts)
+		rep, _, err := runApp(app, apps.ModeMorpheus, opts, shards)
 		if err != nil {
 			return nil, fmt.Errorf("ablation cores: %w", err)
 		}
@@ -189,11 +193,12 @@ func ablBatch(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	shards := app.Generate(o.scale(), o.Seed)
 	for _, depth := range []int{1, 8, 32, 128} {
 		depth := depth
 		opts := o
 		opts.Mutate = chain(o.Mutate, func(c *core.SystemConfig) { c.BatchDepth = depth })
-		rep, sys, err := runApp(app, apps.ModeMorpheus, opts)
+		rep, sys, err := runApp(app, apps.ModeMorpheus, opts, shards)
 		if err != nil {
 			return nil, fmt.Errorf("ablation batch: %w", err)
 		}

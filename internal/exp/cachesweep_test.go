@@ -76,7 +76,8 @@ func TestCacheDifferentialAcrossApps(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed=%d", app.Name, seed), func(t *testing.T) {
 				o := testOptions()
 				o.Seed = seed
-				uncached, _, err := runApp(app, apps.ModeMorpheus, o)
+				shards := app.Generate(o.scale(), o.Seed)
+				uncached, _, err := runApp(app, apps.ModeMorpheus, o, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,7 +87,7 @@ func TestCacheDifferentialAcrossApps(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				files, _, err := apps.Stage(sys, app, oc.scale(), oc.Seed)
+				files, err := apps.StageShards(sys, app, shards)
 				if err != nil {
 					t.Fatal(err)
 				}

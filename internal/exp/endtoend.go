@@ -32,11 +32,12 @@ func RunEndToEnd(o Options) (*E2EResult, error) {
 	res := &E2EResult{}
 	var sp, spP2P []float64
 	for _, app := range apps.All() {
-		base, _, err := runApp(app, apps.ModeBaseline, o)
+		shards := app.Generate(o.scale(), o.Seed)
+		base, _, err := runApp(app, apps.ModeBaseline, o, shards)
 		if err != nil {
 			return nil, fmt.Errorf("endtoend %s baseline: %w", app.Name, err)
 		}
-		morph, _, err := runApp(app, apps.ModeMorpheus, o)
+		morph, _, err := runApp(app, apps.ModeMorpheus, o, shards)
 		if err != nil {
 			return nil, fmt.Errorf("endtoend %s morpheus: %w", app.Name, err)
 		}
@@ -48,7 +49,7 @@ func RunEndToEnd(o Options) (*E2EResult, error) {
 		}
 		row.SpeedupP2P = row.Speedup
 		if app.UsesGPU {
-			p2p, _, err := runApp(app, apps.ModeMorpheusP2P, o)
+			p2p, _, err := runApp(app, apps.ModeMorpheusP2P, o, shards)
 			if err != nil {
 				return nil, fmt.Errorf("endtoend %s p2p: %w", app.Name, err)
 			}

@@ -20,6 +20,7 @@ import (
 	"morpheus/internal/stats"
 	"morpheus/internal/trace"
 	"morpheus/internal/units"
+	"morpheus/internal/workload"
 )
 
 // Options configures an experiment run.
@@ -188,15 +189,18 @@ func bindSLOs(o Options, tenant string) Options {
 	return o
 }
 
-// runApp stages and executes one application in one mode on a fresh
-// system, returning the report and the system (for counter inspection).
-func runApp(app *apps.App, mode apps.Mode, o Options) (*apps.Report, *core.System, error) {
+// runApp stages the point's shards and executes one application in one
+// mode on a fresh system, returning the report and the system (for
+// counter inspection). A point that runs the app in several modes
+// generates its dataset once and passes the same shards to each run;
+// the shards are dropped with the point, never memoised across points.
+func runApp(app *apps.App, mode apps.Mode, o Options, shards workload.Shards) (*apps.Report, *core.System, error) {
 	o = bindSLOs(o, app.Name)
 	sys, err := buildSystem(o, app.UsesGPU)
 	if err != nil {
 		return nil, nil, err
 	}
-	files, _, err := apps.Stage(sys, app, o.scale(), o.Seed)
+	files, err := apps.StageShards(sys, app, shards)
 	if err != nil {
 		return nil, nil, err
 	}

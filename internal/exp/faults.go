@@ -83,11 +83,12 @@ func RunFaults(o Options) (*FaultsResult, error) {
 	perApp, err := runPoints(o, len(all), func(i int, po Options) ([]FaultRow, error) {
 		app := all[i]
 		scens := faultScenarios(uint64(po.Seed))
-		cleanBase, _, err := runApp(app, apps.ModeBaseline, po)
+		shards := app.Generate(po.scale(), po.Seed)
+		cleanBase, _, err := runApp(app, apps.ModeBaseline, po, shards)
 		if err != nil {
 			return nil, fmt.Errorf("faults %s clean baseline: %w", app.Name, err)
 		}
-		cleanMorph, _, err := runApp(app, apps.ModeMorpheus, po)
+		cleanMorph, _, err := runApp(app, apps.ModeMorpheus, po, shards)
 		if err != nil {
 			return nil, fmt.Errorf("faults %s clean morpheus: %w", app.Name, err)
 		}
@@ -105,7 +106,7 @@ func RunFaults(o Options) (*FaultsResult, error) {
 				}
 			}
 			row := FaultRow{App: app.Name, Scenario: sc.name, Mode: sc.mode}
-			rep, sys, err := runApp(app, sc.mode, so)
+			rep, sys, err := runApp(app, sc.mode, so, shards)
 			if err != nil {
 				row.Err = err.Error()
 				rows = append(rows, row)

@@ -31,11 +31,12 @@ func RunFig10(o Options) (*Fig10Result, error) {
 	all := apps.All()
 	rows, err := runPoints(o, len(all), func(i int, po Options) (Fig10Row, error) {
 		app := all[i]
-		base, _, err := runApp(app, apps.ModeBaseline, po)
+		shards := app.Generate(po.scale(), po.Seed)
+		base, _, err := runApp(app, apps.ModeBaseline, po, shards)
 		if err != nil {
 			return Fig10Row{}, fmt.Errorf("fig10 %s baseline: %w", app.Name, err)
 		}
-		morph, _, err := runApp(app, apps.ModeMorpheus, po)
+		morph, _, err := runApp(app, apps.ModeMorpheus, po, shards)
 		if err != nil {
 			return Fig10Row{}, fmt.Errorf("fig10 %s morpheus: %w", app.Name, err)
 		}

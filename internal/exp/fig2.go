@@ -31,7 +31,7 @@ func RunFig2(o Options) (*Fig2Result, error) {
 	res := &Fig2Result{}
 	var fracs []float64
 	for _, app := range apps.All() {
-		rep, _, err := runApp(app, apps.ModeBaseline, o)
+		rep, _, err := runApp(app, apps.ModeBaseline, o, app.Generate(o.scale(), o.Seed))
 		if err != nil {
 			return nil, fmt.Errorf("fig2 %s: %w", app.Name, err)
 		}

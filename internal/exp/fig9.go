@@ -48,11 +48,12 @@ func RunFig9(o Options) (*Fig9Result, error) {
 	all := apps.All()
 	rows, err := runPoints(o, len(all), func(i int, po Options) (Fig9Row, error) {
 		app := all[i]
-		base, sysB, err := runApp(app, apps.ModeBaseline, po)
+		shards := app.Generate(po.scale(), po.Seed)
+		base, sysB, err := runApp(app, apps.ModeBaseline, po, shards)
 		if err != nil {
 			return Fig9Row{}, fmt.Errorf("fig9 %s baseline: %w", app.Name, err)
 		}
-		morph, sysM, err := runApp(app, apps.ModeMorpheus, po)
+		morph, sysM, err := runApp(app, apps.ModeMorpheus, po, shards)
 		if err != nil {
 			return Fig9Row{}, fmt.Errorf("fig9 %s morpheus: %w", app.Name, err)
 		}

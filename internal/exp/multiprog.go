@@ -61,13 +61,14 @@ func RunMultiprog(o Options, load float64) (*MultiprogResult, error) {
 		// to its systems only.
 		po = bindSLOs(po, name)
 		pt := point{row: MultiprogRow{App: name}, counters: stats.NewSet()}
+		shards := app.Generate(po.scale(), po.Seed)
 		for _, contended := range []bool{false, true} {
 			for _, mode := range []apps.Mode{apps.ModeBaseline, apps.ModeMorpheus} {
 				sys, err := buildSystem(po, app.UsesGPU)
 				if err != nil {
 					return point{}, err
 				}
-				files, _, err := apps.Stage(sys, app, po.scale(), po.Seed)
+				files, err := apps.StageShards(sys, app, shards)
 				if err != nil {
 					return point{}, err
 				}

@@ -66,11 +66,12 @@ func RunTraffic(o Options) (*TrafficResult, error) {
 	res := &TrafficResult{}
 	var pcieRed, memRed []float64
 	for _, app := range apps.All() {
-		_, sysB, err := runApp(app, apps.ModeBaseline, o)
+		shards := app.Generate(o.scale(), o.Seed)
+		_, sysB, err := runApp(app, apps.ModeBaseline, o, shards)
 		if err != nil {
 			return nil, fmt.Errorf("traffic %s baseline: %w", app.Name, err)
 		}
-		_, sysM, err := runApp(app, apps.ModeMorpheus, o)
+		_, sysM, err := runApp(app, apps.ModeMorpheus, o, shards)
 		if err != nil {
 			return nil, fmt.Errorf("traffic %s morpheus: %w", app.Name, err)
 		}

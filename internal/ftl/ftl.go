@@ -264,7 +264,8 @@ func (f *FTL) openBlock(pl *plane) *blockState {
 
 // collect performs greedy garbage collection on one plane: pick the full
 // block with the fewest valid pages (it must hold at least one stale page,
-// otherwise erasing it reclaims nothing), relocate its live pages into a
+// otherwise erasing it reclaims nothing; ties go to the lowest block
+// number, so the choice does not depend on map order), relocate its live pages into a
 // reserved destination block on the same plane, and erase the victim. The
 // destination becomes the plane's new active block, so relocation never
 // re-enters the write path — GC cannot recurse.
@@ -275,7 +276,8 @@ func (f *FTL) collect(ready units.Time, pl *plane) (units.Time, error) {
 		if bs == pl.active || bs.nextPage < geo.PagesPerBlock || bs.valid >= geo.PagesPerBlock {
 			continue
 		}
-		if victim == nil || bs.valid < victim.valid {
+		if victim == nil || bs.valid < victim.valid ||
+			bs.valid == victim.valid && bs.addr.Block < victim.addr.Block {
 			victim = bs
 		}
 	}

@@ -1016,18 +1016,19 @@ func compileOne(p *Program, pc int, ins Instr) opFn {
 				return vm.trapUnderflow()
 			}
 			addr := vm.stack[n-1]
-			if addr < 0 || addr+size > int64(len(vm.sram)) {
+			if addr < 0 || addr+size > int64(vm.cfg.DSRAMSize) {
 				vm.stack = vm.stack[:n-1]
 				return vm.trap("mvm: D-SRAM load out of range: addr=%d size=%d", addr, size)
 			}
+			sram := vm.dsram()
 			var v int64
 			switch op {
 			case OpLd8:
-				v = int64(vm.sram[addr])
+				v = int64(sram[addr])
 			case OpLd32:
-				v = int64(int32(binary.LittleEndian.Uint32(vm.sram[addr:])))
+				v = int64(int32(binary.LittleEndian.Uint32(sram[addr:])))
 			default:
-				v = int64(binary.LittleEndian.Uint64(vm.sram[addr:]))
+				v = int64(binary.LittleEndian.Uint64(sram[addr:]))
 			}
 			vm.stack[n-1] = v
 			vm.pc = next
@@ -1059,16 +1060,17 @@ func compileOne(p *Program, pc int, ins Instr) opFn {
 			}
 			v, addr := vm.stack[n-1], vm.stack[n-2]
 			vm.stack = vm.stack[:n-2]
-			if addr < 0 || addr+size > int64(len(vm.sram)) {
+			if addr < 0 || addr+size > int64(vm.cfg.DSRAMSize) {
 				return vm.trap("mvm: D-SRAM store out of range: addr=%d size=%d", addr, size)
 			}
+			sram := vm.dsram()
 			switch op {
 			case OpSt8:
-				vm.sram[addr] = byte(v)
+				sram[addr] = byte(v)
 			case OpSt32:
-				binary.LittleEndian.PutUint32(vm.sram[addr:], uint32(v))
+				binary.LittleEndian.PutUint32(sram[addr:], uint32(v))
 			default:
-				binary.LittleEndian.PutUint64(vm.sram[addr:], uint64(v))
+				binary.LittleEndian.PutUint64(sram[addr:], uint64(v))
 			}
 			vm.pc = next
 			return StateRunnable

@@ -140,7 +140,6 @@ func New(prog *Program, cfg Config, cost CostModel) (*VM, error) {
 		cfg:     cfg,
 		cost:    cost,
 		globals: make([]int64, prog.NumGlobals),
-		sram:    make([]byte, cfg.DSRAMSize),
 		frames:  []frame{{retPC: -1, locals: make([]int64, NumLocals)}},
 	}
 	if cfg.Profile {
@@ -154,6 +153,17 @@ func New(prog *Program, cfg Config, cost CostModel) (*VM, error) {
 		vm.code = compileProgram(prog)
 	}
 	return vm, nil
+}
+
+// dsram returns the D-SRAM buffer, allocating it on the first load or
+// store: most StorageApps never address D-SRAM, and a zeroed
+// cfg.DSRAMSize buffer per MINIT would dominate their allocation.
+// Callers bounds-check against cfg.DSRAMSize first.
+func (vm *VM) dsram() []byte {
+	if vm.sram == nil {
+		vm.sram = make([]byte, vm.cfg.DSRAMSize)
+	}
+	return vm.sram
 }
 
 // SetArgs sets the host-supplied argument vector (the MINIT argument
@@ -389,17 +399,18 @@ func (vm *VM) Run() State {
 				return vm.trap("%v", err)
 			}
 			size := map[Op]int64{OpLd8: 1, OpLd32: 4, OpLd64: 8}[ins.Op]
-			if addr < 0 || addr+size > int64(len(vm.sram)) {
+			if addr < 0 || addr+size > int64(vm.cfg.DSRAMSize) {
 				return vm.trap("mvm: D-SRAM load out of range: addr=%d size=%d", addr, size)
 			}
+			sram := vm.dsram()
 			var v int64
 			switch ins.Op {
 			case OpLd8:
-				v = int64(vm.sram[addr])
+				v = int64(sram[addr])
 			case OpLd32:
-				v = int64(int32(binary.LittleEndian.Uint32(vm.sram[addr:])))
+				v = int64(int32(binary.LittleEndian.Uint32(sram[addr:])))
 			case OpLd64:
-				v = int64(binary.LittleEndian.Uint64(vm.sram[addr:]))
+				v = int64(binary.LittleEndian.Uint64(sram[addr:]))
 			}
 			if err := vm.push(v); err != nil {
 				return vm.trap("%v", err)
@@ -416,16 +427,17 @@ func (vm *VM) Run() State {
 				return vm.trap("%v", err)
 			}
 			size := map[Op]int64{OpSt8: 1, OpSt32: 4, OpSt64: 8}[ins.Op]
-			if addr < 0 || addr+size > int64(len(vm.sram)) {
+			if addr < 0 || addr+size > int64(vm.cfg.DSRAMSize) {
 				return vm.trap("mvm: D-SRAM store out of range: addr=%d size=%d", addr, size)
 			}
+			sram := vm.dsram()
 			switch ins.Op {
 			case OpSt8:
-				vm.sram[addr] = byte(v)
+				sram[addr] = byte(v)
 			case OpSt32:
-				binary.LittleEndian.PutUint32(vm.sram[addr:], uint32(v))
+				binary.LittleEndian.PutUint32(sram[addr:], uint32(v))
 			case OpSt64:
-				binary.LittleEndian.PutUint64(vm.sram[addr:], uint64(v))
+				binary.LittleEndian.PutUint64(sram[addr:], uint64(v))
 			}
 			vm.pc++
 		case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpXor, OpShl, OpShr,

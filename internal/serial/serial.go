@@ -41,28 +41,37 @@ func (k FieldKind) Width() int {
 // IsFloat reports whether the token is float-formatted text.
 func (k FieldKind) IsFloat() bool { return k == FieldFloat32 || k == FieldFloat64 }
 
-// Tokenize splits b into whitespace/comma-separated tokens, returning the
-// byte ranges. It allocates only the index slice.
-func Tokenize(b []byte) [][]byte {
-	var out [][]byte
-	i := 0
-	for i < len(b) {
-		for i < len(b) && isSep(b[i]) {
-			i++
-		}
-		start := i
-		for i < len(b) && !isSep(b[i]) {
-			i++
-		}
-		if i > start {
-			out = append(out, b[start:i])
+// sepTable marks the bytes that separate tokens: space, tab, CR, LF and
+// comma.
+var sepTable = [256]bool{' ': true, '\n': true, '\t': true, '\r': true, ',': true}
+
+// countTokens returns the number of separator-delimited tokens in b, so
+// the parsers can size their output exactly before the parsing pass.
+func countTokens(b []byte) int {
+	n := 0
+	inTok := false
+	for _, c := range b {
+		if sepTable[c] {
+			inTok = false
+		} else if !inTok {
+			inTok = true
+			n++
 		}
 	}
-	return out
+	return n
 }
 
-func isSep(c byte) bool {
-	return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == ','
+// nextToken returns the token starting at or after b[i] and the index
+// just past it; the token is empty when only separators remain.
+func nextToken(b []byte, i int) ([]byte, int) {
+	for i < len(b) && sepTable[b[i]] {
+		i++
+	}
+	start := i
+	for i < len(b) && !sepTable[b[i]] {
+		i++
+	}
+	return b[start:i], i
 }
 
 // ParseError describes a malformed token.
@@ -92,44 +101,73 @@ func (p TokenParser) Parse(chunk []byte, final bool) []byte {
 }
 
 // ParseTokens converts all tokens in chunk to the binary encoding of kind.
+// It scans the chunk once to count tokens and once to parse them in place.
 func ParseTokens(chunk []byte, kind FieldKind) ([]byte, error) {
-	toks := Tokenize(chunk)
-	out := make([]byte, 0, len(toks)*kind.Width())
-	for _, tok := range toks {
-		var err error
-		out, err = appendField(out, tok, kind)
-		if err != nil {
+	w := kind.Width()
+	out := make([]byte, countTokens(chunk)*w)
+	var tok []byte
+	for off, i := 0, 0; off < len(out); off += w {
+		tok, i = nextToken(chunk, i)
+		if err := putField(out[off:], tok, kind); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-func appendField(out []byte, tok []byte, kind FieldKind) ([]byte, error) {
+// putField writes the binary encoding of one token into dst, which holds
+// at least kind.Width() bytes.
+func putField(dst []byte, tok []byte, kind FieldKind) error {
 	if kind.IsFloat() {
 		f, err := strconv.ParseFloat(string(tok), 64)
 		if err != nil {
-			return nil, &ParseError{Token: string(tok), Err: err}
+			return &ParseError{Token: string(tok), Err: err}
 		}
-		var buf [8]byte
 		if kind == FieldFloat32 {
-			binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(float32(f)))
-			return append(out, buf[:4]...), nil
+			binary.LittleEndian.PutUint32(dst, math.Float32bits(float32(f)))
+		} else {
+			binary.LittleEndian.PutUint64(dst, math.Float64bits(f))
 		}
-		binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(f))
-		return append(out, buf[:8]...), nil
+		return nil
 	}
-	n, err := strconv.ParseInt(string(tok), 10, 64)
-	if err != nil {
-		return nil, &ParseError{Token: string(tok), Err: err}
+	n, ok := parseShortInt(tok)
+	if !ok {
+		var err error
+		if n, err = strconv.ParseInt(string(tok), 10, 64); err != nil {
+			return &ParseError{Token: string(tok), Err: err}
+		}
 	}
-	var buf [8]byte
 	if kind == FieldInt32 {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(int32(n)))
-		return append(out, buf[:4]...), nil
+		binary.LittleEndian.PutUint32(dst, uint32(int32(n)))
+	} else {
+		binary.LittleEndian.PutUint64(dst, uint64(n))
 	}
-	binary.LittleEndian.PutUint64(buf[:8], uint64(n))
-	return append(out, buf[:8]...), nil
+	return nil
+}
+
+// parseShortInt is the fast path for decimal integers of the form
+// [+-]?[0-9]{1,18}, which cannot overflow int64. It reports false for
+// every other token, which then takes strconv's path (and its errors).
+func parseShortInt(tok []byte) (int64, bool) {
+	digits := tok
+	if len(digits) > 0 && (digits[0] == '-' || digits[0] == '+') {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 {
+		return 0, false
+	}
+	var n int64
+	for _, c := range digits {
+		d := c - '0'
+		if d > 9 {
+			return 0, false
+		}
+		n = n*10 + int64(d)
+	}
+	if tok[0] == '-' {
+		n = -n
+	}
+	return n, true
 }
 
 // RecordParser converts line-structured records whose tokens cycle
@@ -153,16 +191,26 @@ func ParseRecords(chunk []byte, fields []FieldKind) ([]byte, error) {
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("serial: RecordParser needs at least one field")
 	}
-	toks := Tokenize(chunk)
-	if len(toks)%len(fields) != 0 {
-		return nil, fmt.Errorf("serial: %d tokens do not fill records of %d fields", len(toks), len(fields))
+	n := countTokens(chunk)
+	if n%len(fields) != 0 {
+		return nil, fmt.Errorf("serial: %d tokens do not fill records of %d fields", n, len(fields))
 	}
-	var out []byte
-	for i, tok := range toks {
-		var err error
-		out, err = appendField(out, tok, fields[i%len(fields)])
-		if err != nil {
-			return nil, err
+	if n == 0 {
+		return nil, nil
+	}
+	recWidth := 0
+	for _, k := range fields {
+		recWidth += k.Width()
+	}
+	out := make([]byte, n/len(fields)*recWidth)
+	var tok []byte
+	for off, i := 0, 0; off < len(out); {
+		for _, k := range fields {
+			tok, i = nextToken(chunk, i)
+			if err := putField(out[off:], tok, k); err != nil {
+				return nil, err
+			}
+			off += k.Width()
 		}
 	}
 	return out, nil

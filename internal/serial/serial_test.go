@@ -7,19 +7,34 @@ import (
 	"testing/quick"
 )
 
-func TestTokenize(t *testing.T) {
-	toks := Tokenize([]byte("  12 -3\t4,\n5  "))
-	want := []string{"12", "-3", "4", "5"}
-	if len(toks) != len(want) {
-		t.Fatalf("got %d tokens", len(toks))
+// tokens lists the tokens of b as the parsers see them.
+func tokens(b []byte) [][]byte {
+	out := make([][]byte, 0, countTokens(b))
+	var tok []byte
+	for i := 0; len(out) < cap(out); {
+		tok, i = nextToken(b, i)
+		out = append(out, tok)
 	}
-	for i, w := range want {
-		if string(toks[i]) != w {
-			t.Fatalf("tok %d = %q, want %q", i, toks[i], w)
+	return out
+}
+
+func TestTokenize(t *testing.T) {
+	in := []byte("  12 -3\t4,\n5\r\n6  ")
+	want := []string{"12", "-3", "4", "5", "6"}
+	for name, toks := range map[string][][]byte{"parser": tokens(in), "oracle": oracleTokenize(in)} {
+		if len(toks) != len(want) {
+			t.Fatalf("%s: got %d tokens", name, len(toks))
+		}
+		for i, w := range want {
+			if string(toks[i]) != w {
+				t.Fatalf("%s: tok %d = %q, want %q", name, i, toks[i], w)
+			}
 		}
 	}
-	if len(Tokenize(nil)) != 0 || len(Tokenize([]byte("  \n\t"))) != 0 {
-		t.Fatal("whitespace-only input must produce no tokens")
+	for _, in := range []string{"", "  \n\t", ",\r,"} {
+		if countTokens([]byte(in)) != 0 || len(oracleTokenize([]byte(in))) != 0 {
+			t.Fatalf("separator-only input %q must produce no tokens", in)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ func TestEdgeListShape(t *testing.T) {
 	shards := EdgeList(100, 1000, 2, 1)
 	var total int
 	for _, sh := range shards {
-		toks := serial.Tokenize(sh)
+		toks := bytes.Fields(sh)
 		total += len(toks)
 		for _, tok := range toks {
 			if len(tok) != 8 {
@@ -37,7 +37,7 @@ func TestEdgeListShape(t *testing.T) {
 		}
 		// Records are lines of two tokens.
 		for _, line := range bytes.Split(bytes.TrimRight(sh, "\n"), []byte("\n")) {
-			if got := len(serial.Tokenize(line)); got != 2 {
+			if got := len(bytes.Fields(line)); got != 2 {
 				t.Fatalf("edge line %q has %d tokens", line, got)
 			}
 		}
@@ -115,7 +115,7 @@ func TestDenseMatrixShape(t *testing.T) {
 	rows := 0
 	for _, sh := range shards {
 		for _, line := range bytes.Split(bytes.TrimRight(sh, "\n"), []byte("\n")) {
-			if got := len(serial.Tokenize(line)); got != 16 {
+			if got := len(bytes.Fields(line)); got != 16 {
 				t.Fatalf("matrix row has %d columns", got)
 			}
 			rows++
@@ -133,7 +133,7 @@ func TestPointsShape(t *testing.T) {
 		t.Fatalf("points = %d", len(lines))
 	}
 	for _, line := range lines {
-		if got := len(serial.Tokenize(line)); got != 4 {
+		if got := len(bytes.Fields(line)); got != 4 {
 			t.Fatalf("point has %d dims", got)
 		}
 	}
@@ -162,7 +162,7 @@ func TestShardBalance(t *testing.T) {
 	}
 	sizes := make([]int, 4)
 	for i, sh := range shards {
-		sizes[i] = len(serial.Tokenize(sh))
+		sizes[i] = len(bytes.Fields(sh))
 	}
 	// 1003 over 4: 251,251,251,250.
 	if sizes[0] != 251 || sizes[3] != 250 {
