@@ -35,29 +35,17 @@
 // that proves degraded-mode replica re-fetches route to the shard
 // actually holding the copy.
 //
-// -mvm-engine selects the embedded-core execution engine: "compiled" (the
-// default closure-compiled engine with superinstruction fusion) or
-// "interp" (the reference interpreter). Every simulated result — tables,
-// metrics, traces — is byte-identical under either engine; only host
-// wall-clock differs.
-//
-// -sim-engine selects the discrete-event scheduler the same way: "wheel"
-// (the default hierarchical time wheel, built for million-event runs) or
-// "heap" (the reference binary heap, the differential battery's oracle).
-// Fire order and every simulated result are byte-identical under either.
-//
 // -trace-out writes a Chrome trace-event JSON (load it at
-// https://ui.perfetto.dev or chrome://tracing); -metrics-out writes the
-// aggregated metrics registry, as Prometheus text by default or as JSON
-// when the file name ends in .json.
+// https://ui.perfetto.dev or chrome://tracing), streamed to the file
+// incrementally through an external-sort spool so trace memory stays
+// bounded on long runs; -metrics-out writes the aggregated metrics
+// registry, as Prometheus text by default or as JSON when the file name
+// ends in .json.
 //
-// -trace-stream (default true) streams trace events to the -trace-out
-// file incrementally through an external-sort spool, so trace memory
-// stays bounded on long runs; the output is byte-identical to the
-// buffered path. -trace-sample enables tail sampling
-// ("head=64,lat=10ms,pending=4096,keep=fallback|retry"): a
-// deterministic head of events is kept plus every command tree that
-// crossed the latency threshold, carried a keep-name marker, or hit a
+// -trace-sample enables tail sampling
+// ("head=64,lat=10ms,pending=4096,keep=fallback|retry"): a deterministic
+// head of events is kept plus every command tree that crossed the latency
+// threshold, carried a keep-name marker, or hit a
 // retry/timeout/fault/degraded path; everything else is discarded.
 //
 // -metrics-window enables windowed time-series collection (counters,
@@ -69,7 +57,7 @@
 // time in violation land in both artifacts. The name scopes the
 // objective to one tenant (an application name, as in multiprog); ""
 // or "*" applies everywhere. All of these artifacts are byte-identical
-// at any -parallel setting and under either -sim-engine.
+// at any -parallel setting.
 //
 // cmd/morpheuscheck compares two -metrics-out JSON artifacts under
 // per-metric tolerances — the CI regression gate.
@@ -90,6 +78,11 @@
 // parallel) goroutines. 0 (the default) keeps the sequential inline
 // serving loop.
 //
+// Count flags (-parallel, -shard-parallel, -batch-depth, -window-depth,
+// -ssd-cache-mb, -shards, -replicas) must not be negative: a negative
+// value exits with status 2 and names the flag instead of silently
+// falling back to a default.
+//
 // -cpuprofile and -memprofile write standard pprof profiles of the whole
 // run (`go tool pprof morpheusbench cpu.pprof`); the heap profile is
 // taken after a final GC so it reflects live memory, and both compose
@@ -108,8 +101,6 @@ import (
 
 	"morpheus/internal/core"
 	"morpheus/internal/exp"
-	"morpheus/internal/mvm"
-	"morpheus/internal/sim"
 	"morpheus/internal/stats"
 	"morpheus/internal/trace"
 	"morpheus/internal/units"
@@ -171,26 +162,6 @@ func parseSamplePolicy(s string) (trace.SamplePolicy, error) {
 		return p, fmt.Errorf("trace-sample: %q enables nothing (set head, lat, or keep)", s)
 	}
 	return p, nil
-}
-
-// traceCap bounds the shared tracer's memory on long runs; overflow is
-// counted, not fatal.
-const traceCap = 1 << 20
-
-// writeTrace dumps the collected spans as Chrome trace-event JSON.
-func writeTrace(path string, tr *trace.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := tr.WriteChromeTrace(f); err != nil {
-		return err
-	}
-	if d := tr.Dropped(); d > 0 {
-		fmt.Fprintf(os.Stderr, "morpheusbench: trace dropped %d events past the %d-event cap\n", d, traceCap)
-	}
-	return f.Close()
 }
 
 // writeSeries dumps the windowed time series: JSON or CSV when the path
@@ -395,8 +366,6 @@ func main() {
 		ssdCacheMB  = flag.Int("ssd-cache-mb", 0, "object-cache capacity in MiB (implies -ssd-cache; 0 = the 64MiB default)")
 		batchDepth  = flag.Int("batch-depth", 0, "MREAD commands coalesced per doorbell ring in every experiment (1 = command-at-a-time; 0 = the config default)")
 		windowDepth = flag.Int("window-depth", 0, "bound on in-flight MREAD commands in every experiment (0 = 2x batch depth)")
-		mvmEngine   = flag.String("mvm-engine", "compiled", "embedded-core execution engine: compiled or interp (bit-identical results; compiled is faster in host wall-clock)")
-		simEngine   = flag.String("sim-engine", "wheel", "discrete-event scheduler: wheel (hierarchical time wheel, the default) or heap (reference binary heap); bit-identical results, wheel is faster in host wall-clock")
 
 		shards   = flag.Int("shards", 0, "array experiment: number of Morpheus-SSD shards in the fleet (0 = the E17 default grid)")
 		replicas = flag.Int("replicas", 0, "array experiment: distinct shards holding each object (0 = the E17 default grid)")
@@ -405,7 +374,6 @@ func main() {
 		metricsWindow = flag.String("metrics-window", "", "windowed time-series bucket width as a Go duration (e.g. 100us); enables per-window counters, latency quantiles, and gauges")
 		timeseriesOut = flag.String("timeseries-out", "", "write the windowed time series to this file (.json, .csv, else OpenMetrics text); requires -metrics-window")
 		traceSample   = flag.String("trace-sample", "", "tail-sample the trace: head=N,lat=DUR,pending=N,keep=name|name (requires -trace-out)")
-		traceStream   = flag.Bool("trace-stream", true, "stream -trace-out events through a bounded-memory external-sort spool (byte-identical to the buffered writer)")
 	)
 	var slos []stats.SLOConfig
 	flag.Func("slo", "latency objective name=...,metric=...,target=2ms,budget=0.001, tracked per window (repeatable; name \"\" or \"*\" = every run)", func(s string) error {
@@ -417,6 +385,12 @@ func main() {
 		return nil
 	})
 	flag.Parse()
+	for _, name := range []string{"parallel", "shard-parallel", "batch-depth", "window-depth", "ssd-cache-mb", "shards", "replicas"} {
+		if n, _ := strconv.Atoi(flag.Lookup(name).Value.String()); n < 0 {
+			fmt.Fprintf(os.Stderr, "morpheusbench: -%s must not be negative (got %d)\n", name, n)
+			os.Exit(2)
+		}
+	}
 	exps := experiments()
 	if *list {
 		for _, e := range exps {
@@ -457,18 +431,6 @@ func main() {
 	opts.Seed = *seed
 	opts.Parallel = *parallel
 	opts.ShardParallel = *shardPar
-	eng, err := mvm.ParseEngine(*mvmEngine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "morpheusbench: %v\n", err)
-		os.Exit(2)
-	}
-	opts.MVMEngine = eng
-	simEng, err := sim.ParseEngineKind(*simEngine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "morpheusbench: %v\n", err)
-		os.Exit(2)
-	}
-	opts.SimEngine = simEng
 	if *ssdCache || *ssdCacheMB > 0 {
 		mb := *ssdCacheMB
 		opts.Mutate = func(cfg *core.SystemConfig) {
@@ -520,7 +482,9 @@ func main() {
 	var stream *trace.ChromeStream
 	var streamFile *os.File
 	if *traceOut != "" {
-		opts.Trace = trace.New(traceCap)
+		// Every kept event streams to the sink, so the tracer buffers
+		// nothing and needs no cap.
+		opts.Trace = trace.New(0)
 		if *traceSample != "" {
 			p, err := parseSamplePolicy(*traceSample)
 			if err != nil {
@@ -529,16 +493,14 @@ func main() {
 			}
 			opts.Trace.SetSamplePolicy(p)
 		}
-		if *traceStream {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "morpheusbench: trace-out: %v\n", err)
-				os.Exit(1)
-			}
-			streamFile = f
-			stream = trace.NewChromeStream(f)
-			opts.Trace.SetSink(stream)
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "morpheusbench: trace-out: %v\n", err)
+			os.Exit(1)
 		}
+		streamFile = f
+		stream = trace.NewChromeStream(f)
+		opts.Trace.SetSink(stream)
 	}
 	if *metricsOut != "" || *timeseriesOut != "" {
 		opts.Metrics = stats.NewRegistry()
@@ -580,17 +542,12 @@ func main() {
 		}
 	}
 	if *traceOut != "" {
-		if stream != nil {
-			// Streaming path: merge the spools into the final file.
-			err := stream.Close()
-			if cerr := streamFile.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "morpheusbench: trace-out: %v\n", err)
-				os.Exit(1)
-			}
-		} else if err := writeTrace(*traceOut, opts.Trace); err != nil {
+		// Merge the spools into the final file.
+		err := stream.Close()
+		if cerr := streamFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "morpheusbench: trace-out: %v\n", err)
 			os.Exit(1)
 		}

@@ -30,7 +30,6 @@ func main() {
 		freqMHz = flag.Float64("mhz", 830, "embedded core frequency for the time estimate")
 		chunk   = flag.Int("chunk", 128<<10, "feed window size in bytes (the MDTS)")
 		profile = flag.Bool("profile", false, "print a per-opcode execution histogram on exit")
-		engine  = flag.String("engine", "compiled", "execution engine: compiled or interp (bit-identical results)")
 	)
 	flag.Parse()
 
@@ -80,11 +79,6 @@ func main() {
 
 	cfg := mvm.DefaultConfig()
 	cfg.Profile = *profile
-	eng, err := mvm.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Engine = eng
 	vm, err := mvm.New(&prog, cfg, mvm.DefaultCostModel())
 	if err != nil {
 		fatal(err)

@@ -2,31 +2,20 @@ package array
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"morpheus/internal/apps"
 	"morpheus/internal/core"
-	"morpheus/internal/sim"
 	"morpheus/internal/trace"
 	"morpheus/internal/units"
 )
 
-// buildKind is testBuild with a selectable event engine.
-func buildKind(kind sim.EngineKind) func(int) (*core.System, error) {
-	return func(int) (*core.System, error) {
-		cfg := core.DefaultSystemConfig()
-		cfg.WithGPU = false
-		cfg.SSD.MDTS = 8 * units.KiB
-		cfg.SimEngine = kind
-		return core.NewSystem(cfg)
-	}
-}
-
-// parFleet builds a staged fleet on the chosen engine.
-func parFleet(t *testing.T, kind sim.EngineKind, shards, replicas, objects int) (*Array, *apps.App) {
+// parFleet builds a staged fleet.
+func parFleet(t *testing.T, shards, replicas, objects int) (*Array, *apps.App) {
 	t.Helper()
-	a, err := New(Config{Shards: shards, Replicas: replicas}, buildKind(kind))
+	a, err := New(Config{Shards: shards, Replicas: replicas}, testBuild(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +73,10 @@ func fleetMetricsJSON(t *testing.T, a *Array) []byte {
 // runWindowed builds a fresh fleet, optionally kills the busiest
 // primary, and runs the conservative-window executor at the given slot
 // count with a tracer attached.
-func runWindowed(t *testing.T, kind sim.EngineKind, slots int, kill bool, seed int64) parArtifacts {
+func runWindowed(t *testing.T, slots int, kill bool, seed int64) parArtifacts {
 	t.Helper()
 	const objects = 8
-	a, app := parFleet(t, kind, 4, 2, objects)
+	a, app := parFleet(t, 4, 2, objects)
 	tr := trace.New(0)
 	a.AttachTracer(tr)
 	if kill {
@@ -141,14 +130,14 @@ func TestLookaheadPositive(t *testing.T) {
 // ordering, never on independent serving.
 func TestParallelTrafficMatchesInlineWhenHealthy(t *testing.T) {
 	const objects = 8
-	a, app := parFleet(t, sim.EngineWheel, 4, 2, objects)
+	a, app := parFleet(t, 4, 2, objects)
 	inline, err := RunTraffic(a, windowTraffic(app, objects, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	inlineJSON := fleetMetricsJSON(t, a)
 
-	b, _ := parFleet(t, sim.EngineWheel, 4, 2, objects)
+	b, _ := parFleet(t, 4, 2, objects)
 	windowed, err := RunTrafficParallel(b, windowTraffic(app, objects, 7), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -176,31 +165,29 @@ func TestParallelTrafficMatchesInlineWhenHealthy(t *testing.T) {
 }
 
 // TestParallelTrafficByteIdenticalAcrossSlots is the core contract at
-// fleet level: the same run at -shard-parallel 1, 4, and 8 — and under
-// the reference heap engine — produces identical results, identical
+// fleet level: the same run at -shard-parallel 1, 4, and 8 produces
+// identical results, identical
 // per-shard metrics JSON, and an identical adopted trace, span IDs
 // included. The CI race battery runs this under -race, so the slot>1
 // runs also prove the executor free of data races.
 func TestParallelTrafficByteIdenticalAcrossSlots(t *testing.T) {
-	want := runWindowed(t, sim.EngineWheel, 1, false, 7)
+	want := runWindowed(t, 1, false, 7)
 	if want.res.Admitted == 0 {
 		t.Fatal("traffic admitted nothing")
 	}
 	for _, slots := range []int{4, 8} {
-		got := runWindowed(t, sim.EngineWheel, slots, false, 7)
-		diffArtifacts(t, sim.EngineWheel.String(), want, got)
+		got := runWindowed(t, slots, false, 7)
+		diffArtifacts(t, fmt.Sprintf("slots=%d", slots), want, got)
 	}
-	heap := runWindowed(t, sim.EngineHeap, 4, false, 7)
-	diffArtifacts(t, "wheel-vs-heap", want, heap)
 }
 
 // TestKillShardDuringWindow is the loss battery: a whole shard dies
 // before traffic, so every request routed to it burns the retry budget
 // and parks a replica re-fetch at a window barrier — across multiple
-// windows, on both engines, at slot counts 1/4/8, everything must stay
+// windows, at slot counts 1/4/8, everything must stay
 // byte-identical, and the degraded path must actually have been taken.
 func TestKillShardDuringWindow(t *testing.T) {
-	want := runWindowed(t, sim.EngineWheel, 1, true, 7)
+	want := runWindowed(t, 1, true, 7)
 	if got := want.res.Path[core.PathReplicaFallback]; got == 0 {
 		t.Fatal("shard loss produced no replica-fallback serves; the battery is vacuous")
 	}
@@ -212,14 +199,9 @@ func TestKillShardDuringWindow(t *testing.T) {
 	if span := want.res.Horizon; span < 2*units.Time(ReplicaLookahead()) {
 		t.Fatalf("traffic horizon %v inside two %v windows; widen the schedule", span, ReplicaLookahead())
 	}
-	for _, kind := range []sim.EngineKind{sim.EngineWheel, sim.EngineHeap} {
-		for _, slots := range []int{1, 4, 8} {
-			if kind == sim.EngineWheel && slots == 1 {
-				continue // the baseline itself
-			}
-			got := runWindowed(t, kind, slots, true, 7)
-			diffArtifacts(t, kind.String(), want, got)
-		}
+	for _, slots := range []int{4, 8} {
+		got := runWindowed(t, slots, true, 7)
+		diffArtifacts(t, fmt.Sprintf("slots=%d", slots), want, got)
 	}
 }
 
@@ -230,14 +212,14 @@ func TestKillShardDuringWindow(t *testing.T) {
 // through the real shardFetcher rather than a leaked parking fetcher.
 func TestParallelTrafficRestoresAndReuses(t *testing.T) {
 	const objects = 8
-	fresh, app := parFleet(t, sim.EngineWheel, 3, 2, objects)
+	fresh, app := parFleet(t, 3, 2, objects)
 	want, err := RunTrafficParallel(fresh, windowTraffic(app, objects, 7), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantJSON := fleetMetricsJSON(t, fresh)
 
-	reused, _ := parFleet(t, sim.EngineWheel, 3, 2, objects)
+	reused, _ := parFleet(t, 3, 2, objects)
 	if _, err := RunTrafficParallel(reused, windowTraffic(app, objects, 11), 4); err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +247,8 @@ func TestParallelTrafficRestoresAndReuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv, err := sh.Sys.InvokeStorageApp(0, core.InvokeOptions{
-		App:  app.StorageApp(),
-		File: f,
+		App:      app.StorageApp(),
+		File:     f,
 		Fallback: &core.Fallback{Parser: app.HostParser, Spec: app.Spec},
 	})
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 	"morpheus/internal/apps"
 	"morpheus/internal/core"
 	"morpheus/internal/flash"
-	"morpheus/internal/mvm"
 	"morpheus/internal/sim"
 	"morpheus/internal/stats"
 	"morpheus/internal/trace"
@@ -75,16 +74,6 @@ type Options struct {
 	// budget is the experiment-wide worker semaphore runPoints lazily
 	// creates; tests inject one to pin the cap.
 	budget *sim.WorkerBudget
-	// MVMEngine selects the embedded-core execution engine (default: the
-	// closure-compiled engine). Both engines are bit-identical in every
-	// simulated result — tables, metrics, traces — so this only changes
-	// host wall-clock.
-	MVMEngine mvm.EngineKind
-	// SimEngine selects the discrete-event scheduler implementation
-	// (default: the hierarchical time wheel; sim.EngineHeap is the
-	// reference oracle). As with MVMEngine, both are byte-identical in
-	// every simulated result.
-	SimEngine sim.EngineKind
 }
 
 // observe wires the experiment-wide tracer into a freshly staged system.
@@ -122,10 +111,6 @@ func buildSystem(o Options, withGPU bool) (*core.System, error) {
 	if o.Mutate != nil {
 		o.Mutate(&cfg)
 	}
-	if o.MVMEngine != mvm.EngineDefault {
-		cfg.SSD.VM.Engine = o.MVMEngine
-	}
-	cfg.SimEngine = o.SimEngine
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err

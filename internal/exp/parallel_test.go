@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"morpheus/internal/mvm"
-	"morpheus/internal/sim"
 	"morpheus/internal/stats"
 	"morpheus/internal/trace"
 	"morpheus/internal/units"
@@ -72,16 +70,14 @@ func observedRun(t *testing.T, run func(Options) (tabler, error), o Options) (st
 // advertises: for every experiment and seed, a run fanned across 8
 // workers renders the same table, emits the same metrics JSON byte for
 // byte, and collects the same trace events (span IDs included) as the
-// sequential run. The first seed of each experiment additionally
-// cross-checks the MVM engines: an interpreter run must match the
-// compiled-engine reference byte for byte end to end.
+// sequential run.
 func TestParallelMatchesSequential(t *testing.T) {
 	seeds := []int64{20160618, 7, 424242}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for _, tc := range parallelCases {
-		for si, seed := range seeds {
+		for _, seed := range seeds {
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
 				if tc.heavy && testing.Short() {
 					t.Skip("fault campaign is the suite's heaviest experiment")
@@ -95,7 +91,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 					o.Scale = tc.scale
 				}
 				o.Seed = seed
-				o.MVMEngine = mvm.EngineCompiled
 
 				o.Parallel = 1
 				seqTable, seqJSON, seqEvents := observedRun(t, tc.run, o)
@@ -111,39 +106,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 				if !reflect.DeepEqual(seqEvents, parEvents) {
 					t.Errorf("trace diverged: %d sequential events vs %d parallel",
 						len(seqEvents), len(parEvents))
-				}
-
-				if si == 0 {
-					o.Parallel = 1
-					o.MVMEngine = mvm.EngineInterp
-					intTable, intJSON, intEvents := observedRun(t, tc.run, o)
-					if intTable != seqTable {
-						t.Errorf("interp engine table diverged:\ncompiled:\n%s\ninterp:\n%s", seqTable, intTable)
-					}
-					if !bytes.Equal(intJSON, seqJSON) {
-						t.Errorf("interp engine metrics JSON diverged:\ncompiled:\n%s\ninterp:\n%s", seqJSON, intJSON)
-					}
-					if !reflect.DeepEqual(intEvents, seqEvents) {
-						t.Errorf("interp engine trace diverged: %d compiled events vs %d interp",
-							len(seqEvents), len(intEvents))
-					}
-
-					// Engine-swap cross-check: the reference heap scheduler
-					// must reproduce the time-wheel run byte for byte — the
-					// system-level arm of the differential scheduler battery.
-					o.MVMEngine = mvm.EngineCompiled
-					o.SimEngine = sim.EngineHeap
-					heapTable, heapJSON, heapEvents := observedRun(t, tc.run, o)
-					if heapTable != seqTable {
-						t.Errorf("heap scheduler table diverged:\nwheel:\n%s\nheap:\n%s", seqTable, heapTable)
-					}
-					if !bytes.Equal(heapJSON, seqJSON) {
-						t.Errorf("heap scheduler metrics JSON diverged:\nwheel:\n%s\nheap:\n%s", seqJSON, heapJSON)
-					}
-					if !reflect.DeepEqual(heapEvents, seqEvents) {
-						t.Errorf("heap scheduler trace diverged: %d wheel events vs %d heap",
-							len(seqEvents), len(heapEvents))
-					}
 				}
 			})
 		}
@@ -230,9 +192,7 @@ func diffTelemetry(t *testing.T, label string, a, b telemetryArtifacts) {
 // contract to the windowed-telemetry artifacts: with time series, SLO
 // tracking, and tail-sampled tracing all on, a parallel run must emit
 // the same timeseries JSON/CSV/OpenMetrics, the same SLO summary, and
-// the same sampled trace (span IDs included) as the sequential run —
-// and, for the first seed, so must a run under the reference heap
-// scheduler.
+// the same sampled trace (span IDs included) as the sequential run.
 func TestParallelTelemetryMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name string
@@ -246,12 +206,11 @@ func TestParallelTelemetryMatchesSequential(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, tc := range cases {
-		for si, seed := range seeds {
+		for _, seed := range seeds {
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
 				o := testOptions()
 				o.Scale = 1.0 / 8192
 				o.Seed = seed
-				o.MVMEngine = mvm.EngineCompiled
 				o.MetricsWindow = 100 * units.Microsecond
 				o.SLOs = []stats.SLOConfig{
 					{Name: "*", Metric: "nvme.MREAD.latency_ps",
@@ -281,13 +240,6 @@ func TestParallelTelemetryMatchesSequential(t *testing.T) {
 				}
 				if len(seq.events) == 0 {
 					t.Errorf("sampled trace is empty")
-				}
-
-				if si == 0 && !testing.Short() {
-					o.Parallel = 2
-					o.SimEngine = sim.EngineHeap
-					heap := observedTelemetryRun(t, tc.run, o)
-					diffTelemetry(t, "heap scheduler vs wheel", seq, heap)
 				}
 			})
 		}

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"morpheus/internal/mvm"
 	"morpheus/internal/sim"
 )
 
@@ -27,7 +26,6 @@ func shardParArray(o Options) (tabler, error) {
 func TestShardParallelMatches(t *testing.T) {
 	o := testOptions()
 	o.Scale = 1.0 / 8192
-	o.MVMEngine = mvm.EngineCompiled
 
 	o.Parallel = 1
 	o.ShardParallel = 1
@@ -46,22 +44,6 @@ func TestShardParallelMatches(t *testing.T) {
 			t.Errorf("shard-parallel=%d trace diverged: %d vs %d events",
 				sp, len(wantEvents), len(gotEvents))
 		}
-	}
-
-	// The reference heap scheduler under the windowed executor.
-	o.Parallel = 1
-	o.ShardParallel = 4
-	o.SimEngine = sim.EngineHeap
-	heapTable, heapJSON, heapEvents := observedRun(t, shardParArray, o)
-	if heapTable != wantTable {
-		t.Errorf("heap scheduler table diverged:\n%s\nvs:\n%s", wantTable, heapTable)
-	}
-	if !bytes.Equal(heapJSON, wantJSON) {
-		t.Errorf("heap scheduler metrics JSON diverged")
-	}
-	if !reflect.DeepEqual(heapEvents, wantEvents) {
-		t.Errorf("heap scheduler trace diverged: %d vs %d events",
-			len(wantEvents), len(heapEvents))
 	}
 }
 

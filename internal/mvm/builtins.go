@@ -106,8 +106,8 @@ func (vm *VM) sys(b Builtin) State {
 
 // sysEmitVal appends v's encoding for one of the binary emit builtins,
 // charges the per-byte cost, advances pc, and applies the flush
-// threshold. Shared between the interpreter's sys dispatch and the
-// compiled engine's (possibly fused) emit handlers.
+// threshold. Shared between the generic sys dispatch and the compiled
+// engine's (possibly fused) emit handlers.
 func (vm *VM) sysEmitVal(b Builtin, v int64) {
 	var buf [8]byte
 	var n int

@@ -2,7 +2,6 @@ package mvm
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -11,12 +10,13 @@ import (
 // instruction index, with superinstructions fused over the dominant
 // sequences the MorphC code generator emits — quads (compare-and-branch,
 // x = a op b, expression chains), triples, and pairs (scan+store,
-// push/load + store/branch/binop/emit, store+store, store+jmp). Compared
-// with the reference interpreter in vm.go the compiled engine removes the
-// per-instruction switch dispatch, the error-checked push/pop calls, the
-// per-execution map literals in the D-SRAM loads/stores, the transient
-// stack traffic inside fused sequences, and the per-token string
-// allocation in the integer scanner.
+// push/load + store/branch/binop/emit, store+store, store+jmp). It is the
+// only production execution engine. Compared with the reference
+// interpreter (interp_test.go, the differential oracle of the package
+// tests) it removes the per-instruction switch dispatch, the
+// error-checked push/pop calls, the per-execution map literals in the
+// D-SRAM loads/stores, the transient stack traffic inside fused
+// sequences, and the per-token string allocation in the integer scanner.
 //
 // The engine is behaviorally identical to the interpreter by
 // construction: every handler performs the interpreter's accounting
@@ -38,42 +38,6 @@ type opFn func(*VM) State
 // compiledCode is a Program translated to closures, indexable by pc.
 type compiledCode struct {
 	ops []opFn
-}
-
-// EngineKind selects how a VM executes bytecode. The zero value
-// (EngineDefault) resolves to the compiled engine; EngineInterp selects
-// the reference interpreter. Both engines produce bit-identical results —
-// output bytes, cycles, steps, scan counts, traps, profiles — so the
-// choice only affects host wall-clock.
-type EngineKind uint8
-
-// Engine kinds.
-const (
-	EngineDefault EngineKind = iota
-	EngineInterp
-	EngineCompiled
-)
-
-// compiled reports whether the kind resolves to the compiled engine.
-func (e EngineKind) compiled() bool { return e != EngineInterp }
-
-// String names the resolved engine.
-func (e EngineKind) String() string {
-	if e == EngineInterp {
-		return "interp"
-	}
-	return "compiled"
-}
-
-// ParseEngine maps an engine flag value to an EngineKind.
-func ParseEngine(s string) (EngineKind, error) {
-	switch s {
-	case "interp", "interpreter":
-		return EngineInterp, nil
-	case "", "default", "compiled":
-		return EngineCompiled, nil
-	}
-	return EngineDefault, fmt.Errorf("mvm: unknown engine %q (want interp or compiled)", s)
 }
 
 // runCompiled is the compiled engine's dispatch loop. The pc-range check
@@ -1382,8 +1346,9 @@ func (vm *VM) scanIntFast() State {
 
 // compileSys translates `sys` instructions. The scan and emit builtins get
 // specialized handlers; everything else performs the shared accounting and
-// delegates to the interpreter's sys dispatch, so the two engines share
-// one implementation of the device library.
+// delegates to the generic sys dispatch in builtins.go, which the
+// reference interpreter also uses, so the two share one implementation of
+// the device library.
 func compileSys(pc int, b Builtin) opFn {
 	switch b {
 	case SysScanInt, SysScanFloat:

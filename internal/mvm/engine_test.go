@@ -9,8 +9,9 @@ import (
 )
 
 // The differential battery: every test in this file executes the same
-// program, input, and Feed/Run/DrainOutput schedule under the interpreter
-// and the compiled engine and requires the full observable traces —
+// program, input, and Feed/Run/DrainOutput schedule under the reference
+// interpreter (runInterp, interp_test.go) and the compiled engine behind
+// Run and requires the full observable traces —
 // states after every Run, drained bytes, steps, bit-exact cycles,
 // consumed counts, float ops, scan counts, return values, trap messages,
 // and profile histograms — to be identical.
@@ -24,13 +25,13 @@ func mustAssemble(tb testing.TB, src string) *Program {
 	return p
 }
 
-// traceEngine drives one VM through a deterministic schedule and renders
-// everything observable into a comparable trace. chunk <= 0 feeds the
-// whole input up front; otherwise input arrives in chunk-sized windows as
-// the VM asks for it.
-func traceEngine(tb testing.TB, p *Program, cfg Config, eng EngineKind, args []int64, input []byte, chunk int) string {
+// traceEngine drives one VM through a deterministic schedule, executing
+// with run ((*VM).Run or (*VM).runInterp), and renders everything
+// observable into a comparable trace. chunk <= 0 feeds the whole input up
+// front; otherwise input arrives in chunk-sized windows as the VM asks
+// for it.
+func traceEngine(tb testing.TB, p *Program, cfg Config, run func(*VM) State, args []int64, input []byte, chunk int) string {
 	tb.Helper()
-	cfg.Engine = eng
 	vm, err := New(p, cfg, DefaultCostModel())
 	if err != nil {
 		return "newerr: " + err.Error()
@@ -47,7 +48,7 @@ func traceEngine(tb testing.TB, p *Program, cfg Config, eng EngineKind, args []i
 		fmt.Fprintf(&sb, "feed n=%d final=true err=%v\n", len(input), err)
 	}
 	for iter := 0; iter < 1_000_000; iter++ {
-		st := vm.Run()
+		st := run(vm)
 		fmt.Fprintf(&sb, "run st=%v steps=%d cyc=%016x consumed=%d outbuf=%d\n",
 			st, vm.Steps(), math.Float64bits(vm.Cycles()), vm.Consumed(), 0)
 		switch st {
@@ -96,8 +97,8 @@ done:
 // traces.
 func assertEnginesAgree(t *testing.T, p *Program, cfg Config, args []int64, input []byte, chunk int) {
 	t.Helper()
-	it := traceEngine(t, p, cfg, EngineInterp, args, input, chunk)
-	ct := traceEngine(t, p, cfg, EngineCompiled, args, input, chunk)
+	it := traceEngine(t, p, cfg, (*VM).runInterp, args, input, chunk)
+	ct := traceEngine(t, p, cfg, (*VM).Run, args, input, chunk)
 	if it != ct {
 		t.Fatalf("engines diverge (chunk=%d)\ninterp:\n%s\ncompiled:\n%s", chunk, it, ct)
 	}
@@ -370,8 +371,8 @@ func TestEngineRandomSchedules(t *testing.T) {
 	for name, p := range kernels {
 		input := engineInput(name)
 		for seed := int64(1); seed <= 12; seed++ {
-			it := randomSchedule(t, p, EngineInterp, input, seed)
-			ct := randomSchedule(t, p, EngineCompiled, input, seed)
+			it := randomSchedule(t, p, (*VM).runInterp, input, seed)
+			ct := randomSchedule(t, p, (*VM).Run, input, seed)
 			if it != ct {
 				t.Fatalf("%s seed %d: engines diverge\ninterp:\n%s\ncompiled:\n%s", name, seed, it, ct)
 			}
@@ -379,7 +380,7 @@ func TestEngineRandomSchedules(t *testing.T) {
 	}
 }
 
-func randomSchedule(tb testing.TB, p *Program, eng EngineKind, input []byte, seed int64) string {
+func randomSchedule(tb testing.TB, p *Program, run func(*VM) State, input []byte, seed int64) string {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := DefaultConfig()
@@ -388,7 +389,6 @@ func randomSchedule(tb testing.TB, p *Program, eng EngineKind, input []byte, see
 	if rng.Intn(2) == 0 {
 		cfg.MaxSteps = int64(50 + rng.Intn(4000))
 	}
-	cfg.Engine = eng
 	vm, err := New(p, cfg, DefaultCostModel())
 	if err != nil {
 		return "newerr: " + err.Error()
@@ -414,7 +414,7 @@ func randomSchedule(tb testing.TB, p *Program, eng EngineKind, input []byte, see
 			finalFed = finalFed || final
 			fmt.Fprintf(&sb, "feed n=%d final=%v err=%v\n", n, final, err)
 		case 1, 2: // run
-			st := vm.Run()
+			st := run(vm)
 			ints, floats := vm.ScanCounts()
 			fmt.Fprintf(&sb, "run st=%v steps=%d cyc=%016x consumed=%d fl=%d scans=%d/%d ret=%d trap=%v\n",
 				st, vm.Steps(), math.Float64bits(vm.Cycles()), vm.Consumed(),
@@ -436,37 +436,18 @@ func randomSchedule(tb testing.TB, p *Program, eng EngineKind, input []byte, see
 	return sb.String()
 }
 
-// TestEngineDefaultIsCompiled pins the config plumbing: the zero value
-// and DefaultConfig select the compiled engine; EngineInterp opts out.
+// TestEngineDefaultIsCompiled pins that every VM executes compiled code:
+// New compiles the program whatever the config, so Run has one engine.
 func TestEngineDefaultIsCompiled(t *testing.T) {
 	p := mustAssemble(t, "halt")
-	vm, err := New(p, DefaultConfig(), DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vm.code == nil {
-		t.Fatal("default config must use the compiled engine")
-	}
-	cfg := DefaultConfig()
-	cfg.Engine = EngineInterp
-	vm, err = New(p, cfg, DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vm.code != nil {
-		t.Fatal("EngineInterp must not compile")
-	}
-	if _, err := ParseEngine("nope"); err == nil {
-		t.Fatal("ParseEngine must reject unknown names")
-	}
-	for s, want := range map[string]EngineKind{"interp": EngineInterp, "compiled": EngineCompiled, "": EngineCompiled} {
-		got, err := ParseEngine(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseEngine(%q) = %v, %v", s, got, err)
+	for _, cfg := range []Config{{}, DefaultConfig()} {
+		vm, err := New(p, cfg, DefaultCostModel())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if EngineDefault.String() != "compiled" || EngineInterp.String() != "interp" {
-		t.Fatalf("engine names: %v %v", EngineDefault, EngineInterp)
+		if vm.code == nil || len(vm.code.ops) != len(p.Code) {
+			t.Fatalf("config %+v: VM has no compiled code", cfg)
+		}
 	}
 }
 

@@ -1,0 +1,5 @@
+package mvm
+
+// RunInterp executes vm on the reference interpreter, for the external
+// test package's application-level differential (vm_diff_test.go).
+func RunInterp(vm *VM) State { return vm.runInterp() }

@@ -2,7 +2,7 @@
 // of the StorageApps that run on the SSD's embedded cores. The paper
 // compiles C/C++ StorageApps to the Tensilica LX instruction set of the
 // controller; this reproduction compiles MorphC (internal/morphc) to the
-// bytecode defined here and interprets it with a per-instruction cycle
+// bytecode defined here and executes it with a per-instruction cycle
 // model, including the software-emulated floating point the paper calls
 // out ("the Tensilica LX cores that we are using do not contain FPUs, the
 // current library implementation ... relies on software emulation").

@@ -42,8 +42,8 @@ type diffHandle struct {
 func newDiffHarness(t *testing.T) *diffHarness {
 	return &diffHarness{
 		t:     t,
-		wheel: NewEngineKind(NewClock(), EngineWheel),
-		heap:  NewEngineKind(NewClock(), EngineHeap),
+		wheel: NewEngine(NewClock()),
+		heap:  newHeapEngine(NewClock()),
 	}
 }
 

@@ -1,47 +1,10 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 
 	"morpheus/internal/units"
 )
-
-// EngineKind selects the event-queue implementation backing an Engine.
-type EngineKind int
-
-const (
-	// EngineWheel is the hierarchical time wheel (the default): amortized
-	// O(1) schedule/fire and allocation-free steady state, built for
-	// million-event runs. See wheel.go for the determinism argument.
-	EngineWheel EngineKind = iota
-	// EngineHeap is the retained binary-heap implementation, kept as the
-	// reference oracle of the differential scheduler battery. Fire order is
-	// identical to the wheel by contract: (time, scheduling seq).
-	EngineHeap
-)
-
-// String names the kind.
-func (k EngineKind) String() string {
-	switch k {
-	case EngineWheel:
-		return "wheel"
-	case EngineHeap:
-		return "heap"
-	}
-	return fmt.Sprintf("EngineKind(%d)", int(k))
-}
-
-// ParseEngineKind resolves a -sim-engine flag value.
-func ParseEngineKind(s string) (EngineKind, error) {
-	switch s {
-	case "", "wheel":
-		return EngineWheel, nil
-	case "heap":
-		return EngineHeap, nil
-	}
-	return EngineWheel, fmt.Errorf("sim: unknown engine kind %q (want wheel or heap)", s)
-}
 
 // Event is one scheduled callback. Events live in a per-engine pool and
 // are recycled after they fire or are cancelled, so steady-state
@@ -55,8 +18,8 @@ type Event struct {
 	// returns to the pool, so a Handle to a fired/cancelled event can never
 	// touch the slot's next occupant.
 	gen uint32
-	// Queue location. The heap uses idx alone; the wheel uses all three
-	// (lvl == wheelOverflowLvl places idx into the overflow list).
+	// Queue location: lvl == wheelOverflowLvl places idx into the wheel's
+	// overflow list. The test-only reference heap uses idx alone.
 	lvl  int8
 	slot uint8
 	idx  int32
@@ -73,9 +36,11 @@ type Handle struct {
 // Pending reports whether the handle still names a queued event.
 func (h Handle) Pending() bool { return h.ev != nil && h.ev.gen == h.gen }
 
-// eventQueue is the pluggable priority queue behind an Engine. The
-// ordering contract both implementations obey exactly: popAtMost returns
-// events in (time, then scheduling seq) order.
+// eventQueue is the priority queue behind an Engine. Production engines
+// always use the time wheel; the interface is the seam through which the
+// package tests swap in the reference binary heap (heap_test.go) as the
+// fire-order oracle. The ordering contract both obey exactly: popAtMost
+// returns events in (time, then scheduling seq) order.
 type eventQueue interface {
 	push(*Event)
 	// popAtMost removes and returns the earliest event if its time is <=
@@ -121,10 +86,9 @@ func (p *eventPool) put(ev *Event) {
 // interleaving: the NVMe command dispatch of the SSD firmware loop and
 // host-side interrupt delivery run on it, and the big traffic campaigns
 // push it to millions of events. Fire order is time, then scheduling
-// order, which keeps runs deterministic regardless of the backing queue.
+// order, which keeps runs deterministic.
 type Engine struct {
 	clock *Clock
-	kind  EngineKind
 	q     eventQueue
 	pool  eventPool
 	seq   int64
@@ -132,28 +96,10 @@ type Engine struct {
 }
 
 // NewEngine returns a time-wheel engine driving the given clock.
-func NewEngine(clock *Clock) *Engine { return NewEngineKind(clock, EngineWheel) }
-
-// NewEngineKind returns an engine backed by the chosen queue
-// implementation. Both kinds are byte-identical in fire order and times;
-// the heap exists as the differential battery's oracle.
-func NewEngineKind(clock *Clock, kind EngineKind) *Engine {
-	e := &Engine{clock: clock, kind: kind}
-	switch kind {
-	case EngineHeap:
-		e.q = &heapQueue{}
-	default:
-		e.kind = EngineWheel
-		e.q = newWheelQueue()
-	}
-	return e
-}
+func NewEngine(clock *Clock) *Engine { return &Engine{clock: clock, q: newWheelQueue()} }
 
 // Clock returns the engine's clock.
 func (e *Engine) Clock() *Clock { return e.clock }
-
-// Kind reports the backing queue implementation.
-func (e *Engine) Kind() EngineKind { return e.kind }
 
 // Schedule queues fn to run at time at. Scheduling in the past (before the
 // clock's current time) panics.
@@ -238,7 +184,8 @@ func (e *Engine) RunUntil(deadline units.Time) {
 func (e *Engine) Fired() int64 { return e.fired }
 
 // Overflowed reports how many placements landed beyond the wheel's
-// horizon since creation or Reset (always zero on the heap engine). Tests
+// horizon since creation or Reset (always zero on the test-only heap
+// engine). Tests
 // use it to prove a workload drove the overflow cascade, not just the
 // in-window fast path.
 func (e *Engine) Overflowed() int64 {

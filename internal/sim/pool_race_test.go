@@ -9,7 +9,7 @@ import (
 
 // The event-pool battery: events are recycled through a per-engine arena,
 // so the hazards are stale handles touching a reused Event struct. These
-// tests run under -race in the sim-smoke CI job; engines are confined to
+// tests run under -race in the CI test job; engines are confined to
 // one goroutine each, and the parallel test proves independent engines
 // stay independent the way the -parallel experiment harness uses them.
 
@@ -118,8 +118,7 @@ func TestEventPoolParallelEngines(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			kind := EngineKind(w % 2)
-			eng := NewEngineKind(NewClock(), kind)
+			eng := engineQueues[w%2].new(NewClock())
 			fired := 0
 			for i := 0; i < 2000; i++ {
 				h := eng.Schedule(eng.Clock().Now().Add(units.Duration(i%11)), func(units.Time) { fired++ })
@@ -135,7 +134,7 @@ func TestEventPoolParallelEngines(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// Same workload -> same count, independent of kind and neighbours.
+	// Same workload -> same count, independent of queue and neighbours.
 	for w := 1; w < workers; w++ {
 		if results[w] != results[0] {
 			t.Fatalf("worker %d fired %d, worker 0 fired %d", w, results[w], results[0])

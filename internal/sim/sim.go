@@ -2,8 +2,9 @@
 // every hardware model in the repository: a virtual clock, interval-ledger
 // resources with earliest-gap placement, bandwidth pipes, and a
 // discrete-event engine — a hierarchical time wheel with pooled,
-// allocation-free events (a binary-heap reference kept as the
-// differential oracle) — for agents that need ordered interleaving.
+// allocation-free events (the package tests keep a binary-heap reference
+// as its differential oracle) — for agents that need ordered
+// interleaving.
 //
 // The central abstraction is the Resource: a serially-reusable unit (a CPU
 // core, a flash channel, a DMA engine, a PCIe link) whose occupancy is an

@@ -173,11 +173,18 @@ func TestPipeLatencyAndSerialization(t *testing.T) {
 	}
 }
 
+// engineQueues are the queue implementations the engine contract tests
+// run on: the production time wheel and the test-only reference heap.
+var engineQueues = []struct {
+	name string
+	new  func(*Clock) *Engine
+}{{"wheel", NewEngine}, {"heap", newHeapEngine}}
+
 // engineKinds runs a subtest per queue implementation: the engine
 // contract must hold identically for the wheel and the reference heap.
 func engineKinds(t *testing.T, f func(t *testing.T, eng *Engine)) {
-	for _, kind := range []EngineKind{EngineWheel, EngineHeap} {
-		t.Run(kind.String(), func(t *testing.T) { f(t, NewEngineKind(NewClock(), kind)) })
+	for _, q := range engineQueues {
+		t.Run(q.name, func(t *testing.T) { f(t, q.new(NewClock())) })
 	}
 }
 

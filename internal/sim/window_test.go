@@ -11,11 +11,11 @@ import (
 // TestDrainWindowCursorContract: DrainWindow fires exactly the events at
 // or before the limit — cascading into events its callbacks schedule
 // inside the window — in (time, seq) order, and leaves the clock at the
-// last fired event rather than the window edge, on both engine kinds.
+// last fired event rather than the window edge, on both queue implementations.
 func TestDrainWindowCursorContract(t *testing.T) {
-	for _, kind := range []EngineKind{EngineWheel, EngineHeap} {
-		t.Run(kind.String(), func(t *testing.T) {
-			e := NewEngineKind(NewClock(), kind)
+	for _, q := range engineQueues {
+		t.Run(q.name, func(t *testing.T) {
+			e := q.new(NewClock())
 			var fired []units.Time
 			note := func(now units.Time) { fired = append(fired, now) }
 			e.Schedule(10, func(now units.Time) {
