@@ -60,11 +60,11 @@ func timedObsFig8(b *testing.B, o exp.Options) time.Duration {
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	const windowPS = int64(100 * units.Microsecond)
 	for i := 0; i < b.N; i++ {
-		base := benchOptions()
+		base := exp.DefaultOptions()
 		base.Parallel = 1
 		baseDur := timedObsFig8(b, base)
 
-		windowed := benchOptions()
+		windowed := exp.DefaultOptions()
 		windowed.Parallel = 1
 		windowed.Metrics = stats.NewRegistry()
 		windowed.MetricsWindow = units.Duration(windowPS)

@@ -48,12 +48,20 @@ type serveRowJSON struct {
 	Coalesce       float64 `json:"coalesce"`
 }
 
+// logTable prints an experiment's table under -v.
+func logTable(b *testing.B, t *exp.Table) {
+	b.Helper()
+	if testing.Verbose() {
+		b.Log("\n" + t.String())
+	}
+}
+
 // BenchmarkServeBatching runs the E16 sweep and checks its acceptance
 // property: batched submission reduces per-command host submit overhead
 // at every depth >= 8 (the sweep itself byte-compares the served objects
 // against command-at-a-time inside each point).
 func BenchmarkServeBatching(b *testing.B) {
-	o := benchOptions()
+	o := exp.DefaultOptions()
 	for i := 0; i < b.N; i++ {
 		r, err := exp.RunServe(o)
 		if err != nil {

@@ -216,128 +216,38 @@ type experiment struct {
 // array experiment; zero values run the E17 default grid.
 var arraySweep exp.ArraySweep
 
-func experiments() []experiment {
-	one := func(f func(exp.Options) (*exp.Table, error)) func(exp.Options) ([]*exp.Table, error) {
-		return func(o exp.Options) ([]*exp.Table, error) {
-			t, err := f(o)
-			if err != nil {
-				return nil, err
-			}
-			return []*exp.Table{t}, nil
+// table adapts an experiment whose result renders as one table.
+func table[R interface{ Table() *exp.Table }](run func(exp.Options) (R, error)) func(exp.Options) ([]*exp.Table, error) {
+	return func(o exp.Options) ([]*exp.Table, error) {
+		r, err := run(o)
+		if err != nil {
+			return nil, err
 		}
+		return []*exp.Table{r.Table()}, nil
 	}
+}
+
+func experiments() []experiment {
 	return []experiment{
-		{"table1", "Table I — benchmark applications and inputs", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunTable1(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
+		{"table1", "Table I — benchmark applications and inputs", table(exp.RunTable1)},
+		{"fig2", "Figure 2 — baseline execution-time breakdown", table(exp.RunFig2)},
+		{"fig3", "Figure 3 — effective bandwidth vs storage device and CPU frequency", table(exp.RunFig3)},
+		{"profile", "§II — parse-cost profile (conversion vs OS overhead)", table(exp.RunProfile)},
+		{"fig8", "Figure 8 — deserialization speedup with Morpheus-SSD", table(exp.RunFig8)},
+		{"fig9", "Figure 9 — normalized power and energy", table(exp.RunFig9)},
+		{"fig10", "Figure 10 — context switches", table(exp.RunFig10)},
+		{"traffic", "§VII-A — PCIe and memory-bus traffic", table(exp.RunTraffic)},
+		{"endtoend", "§VII-B — end-to-end speedups (incl. NVMe-P2P)", table(exp.RunEndToEnd)},
+		{"slowhost", "slower-server sensitivity (1.2 GHz host)", table(exp.RunSlowHost)},
+		{"multiprog", "multiprogrammed environment (E12, extension of §III)", table(func(o exp.Options) (*exp.MultiprogResult, error) {
+			return exp.RunMultiprog(o, 0.5)
 		})},
-		{"fig2", "Figure 2 — baseline execution-time breakdown", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunFig2(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"fig3", "Figure 3 — effective bandwidth vs storage device and CPU frequency", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunFig3(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"profile", "§II — parse-cost profile (conversion vs OS overhead)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunProfile(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"fig8", "Figure 8 — deserialization speedup with Morpheus-SSD", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunFig8(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"fig9", "Figure 9 — normalized power and energy", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunFig9(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"fig10", "Figure 10 — context switches", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunFig10(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"traffic", "§VII-A — PCIe and memory-bus traffic", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunTraffic(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"endtoend", "§VII-B — end-to-end speedups (incl. NVMe-P2P)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunEndToEnd(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"slowhost", "slower-server sensitivity (1.2 GHz host)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunSlowHost(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"multiprog", "multiprogrammed environment (E12, extension of §III)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunMultiprog(o, 0.5)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"serialize", "MWRITE serialization (E13, extension)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunSerialize(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"faults", "fault campaign — retries and degraded mode (E14, extension)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunFaults(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"cachesweep", "SSD object-cache sweep (E15, extension)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunCachesweep(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"serve", "batched submission sweep (E16, extension)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunServe(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"array", "sharded array serving sweep (E17, extension)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunArray(o, arraySweep)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
+		{"serialize", "MWRITE serialization (E13, extension)", table(exp.RunSerialize)},
+		{"faults", "fault campaign — retries and degraded mode (E14, extension)", table(exp.RunFaults)},
+		{"cachesweep", "SSD object-cache sweep (E15, extension)", table(exp.RunCachesweep)},
+		{"serve", "batched submission sweep (E16, extension)", table(exp.RunServe)},
+		{"array", "sharded array serving sweep (E17, extension)", table(func(o exp.Options) (*exp.ArrayResult, error) {
+			return exp.RunArray(o, arraySweep)
 		})},
 		{"ablation", "design-choice ablations (DESIGN.md §4)", func(o exp.Options) ([]*exp.Table, error) {
 			r, err := exp.RunAblation(o)

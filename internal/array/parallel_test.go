@@ -57,6 +57,7 @@ type parArtifacts struct {
 	res     *TrafficResult
 	metrics []byte // per-shard registries, concatenated in shard order
 	events  []trace.Event
+	fired   int64 // simulated events fired, summed over the shards' engines
 }
 
 func fleetMetricsJSON(t *testing.T, a *Array) []byte {
@@ -98,7 +99,11 @@ func runWindowed(t *testing.T, slots int, kill bool, seed int64) parArtifacts {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return parArtifacts{res: res, metrics: fleetMetricsJSON(t, a), events: tr.Events()}
+	var fired int64
+	for _, sh := range a.Shards {
+		fired += sh.Sys.Engine.Fired()
+	}
+	return parArtifacts{res: res, metrics: fleetMetricsJSON(t, a), events: tr.Events(), fired: fired}
 }
 
 func diffArtifacts(t *testing.T, label string, want, got parArtifacts) {
@@ -168,8 +173,9 @@ func TestParallelTrafficMatchesInlineWhenHealthy(t *testing.T) {
 // fleet level: the same run at -shard-parallel 1, 4, and 8 produces
 // identical results, identical
 // per-shard metrics JSON, and an identical adopted trace, span IDs
-// included. The CI race battery runs this under -race, so the slot>1
-// runs also prove the executor free of data races.
+// included, and fires the same number of simulated events. The CI race
+// battery runs this under -race, so the slot>1 runs also prove the
+// executor free of data races.
 func TestParallelTrafficByteIdenticalAcrossSlots(t *testing.T) {
 	want := runWindowed(t, 1, false, 7)
 	if want.res.Admitted == 0 {
@@ -178,6 +184,9 @@ func TestParallelTrafficByteIdenticalAcrossSlots(t *testing.T) {
 	for _, slots := range []int{4, 8} {
 		got := runWindowed(t, slots, false, 7)
 		diffArtifacts(t, fmt.Sprintf("slots=%d", slots), want, got)
+		if got.fired != want.fired {
+			t.Errorf("slots=%d: engines fired %d events, want %d", slots, got.fired, want.fired)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"morpheus/internal/apps"
 	"morpheus/internal/units"
 )
@@ -27,20 +25,11 @@ type E2EResult struct {
 }
 
 // RunEndToEnd regenerates the end-to-end evaluation across the three
-// configurations.
+// configurations (NVMe-P2P for the GPU applications only).
 func RunEndToEnd(o Options) (*E2EResult, error) {
-	res := &E2EResult{}
-	var sp, spP2P []float64
-	for _, app := range apps.All() {
-		shards := app.Generate(o.scale(), o.Seed)
-		base, _, err := runApp(app, apps.ModeBaseline, o, shards)
-		if err != nil {
-			return nil, fmt.Errorf("endtoend %s baseline: %w", app.Name, err)
-		}
-		morph, _, err := runApp(app, apps.ModeMorpheus, o, shards)
-		if err != nil {
-			return nil, fmt.Errorf("endtoend %s morpheus: %w", app.Name, err)
-		}
+	modes := []apps.Mode{apps.ModeBaseline, apps.ModeMorpheus, apps.ModeMorpheusP2P}
+	rows, err := sweepApps(o, "endtoend", modes, func(app *apps.App, runs []appRun) E2ERow {
+		base, morph := runs[0], runs[1]
 		row := E2ERow{
 			App:      app.Name,
 			Baseline: base.Total,
@@ -48,15 +37,19 @@ func RunEndToEnd(o Options) (*E2EResult, error) {
 			Speedup:  float64(base.Total) / float64(morph.Total),
 		}
 		row.SpeedupP2P = row.Speedup
-		if app.UsesGPU {
-			p2p, _, err := runApp(app, apps.ModeMorpheusP2P, o, shards)
-			if err != nil {
-				return nil, fmt.Errorf("endtoend %s p2p: %w", app.Name, err)
-			}
+		if len(runs) > 2 {
+			p2p := runs[2]
 			row.MorpheusP2P = p2p.Total
 			row.SpeedupP2P = float64(base.Total) / float64(p2p.Total)
 		}
-		res.Rows = append(res.Rows, row)
+		return row
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &E2EResult{Rows: rows}
+	var sp, spP2P []float64
+	for _, row := range rows {
 		sp = append(sp, row.Speedup)
 		spP2P = append(spP2P, row.SpeedupP2P)
 	}

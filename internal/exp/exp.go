@@ -1,8 +1,7 @@
 // Package exp is the experiment harness: one runner per table/figure of
 // the paper's evaluation (plus the ablations DESIGN.md calls out), each
 // regenerating the same rows/series the paper reports. The cmd/morpheusbench
-// binary and the repository's testing.B benchmarks are thin wrappers over
-// this package.
+// binary is a thin wrapper over this package.
 package exp
 
 import (
@@ -59,7 +58,7 @@ type Options struct {
 	// every run under the name "all".
 	SLOs []stats.SLOConfig
 	// Parallel is the worker count for independent sweep points: 0 uses
-	// one worker per CPU, 1 forces the sequential loop. Output (tables,
+	// one worker per CPU, 1 runs the points one at a time. Output (tables,
 	// Metrics, Trace) is byte-identical at every setting; see parallel.go.
 	Parallel int
 	// ShardParallel, when positive, runs each array point's shards through
@@ -200,6 +199,65 @@ func runApp(app *apps.App, mode apps.Mode, o Options, shards workload.Shards) (*
 	}
 	o.collect(sys)
 	return rep, sys, nil
+}
+
+// baseMorph is the mode pair most figures compare: the conventional
+// model against Morpheus-SSD.
+var baseMorph = []apps.Mode{apps.ModeBaseline, apps.ModeMorpheus}
+
+// appRun is what a sweep row reads of one finished run: the report and
+// the system state the figures need, copied out so the system itself is
+// garbage as soon as its run ends and a point holds at most one.
+type appRun struct {
+	*apps.Report
+	CPUFreq  units.Frequency // host DVFS point the run used
+	Counters stats.Snapshot  // the system's counters after the run
+}
+
+// sweepApps is the paper's per-application sweep (§VII): one runPoints
+// point per application, which generates the dataset once, runs it in
+// each of modes on a fresh system (ModeMorpheusP2P only for GPU
+// applications, the only ones it applies to), checks every later run's
+// objects against the first run's, and hands the runs to row inside the
+// point, so they never outlive it. modes[0] is the baseline the others
+// are checked against; name prefixes every error.
+func sweepApps[T any](o Options, name string, modes []apps.Mode, row func(app *apps.App, runs []appRun) T) ([]T, error) {
+	all := apps.All()
+	return runPoints(o, len(all), func(i int, po Options) (T, error) {
+		app := all[i]
+		var runs []appRun
+		run := func(mode apps.Mode, shards workload.Shards) error {
+			if mode == apps.ModeMorpheusP2P && !app.UsesGPU {
+				return nil
+			}
+			rep, sys, err := runApp(app, mode, po, shards)
+			if err != nil {
+				return fmt.Errorf("%s %s %s: %w", name, app.Name, mode, err)
+			}
+			if len(runs) > 0 {
+				if err := apps.VerifyObjects(runs[0].Report, rep); err != nil {
+					return fmt.Errorf("%s %s %s: object mismatch: %w", name, app.Name, mode, err)
+				}
+			}
+			runs = append(runs, appRun{Report: rep, CPUFreq: sys.Host.CPU.Freq, Counters: sys.Counters.Snapshot()})
+			return nil
+		}
+		var zero T
+		shards := app.Generate(po.scale(), po.Seed)
+		last := len(modes) - 1
+		for _, mode := range modes[:last] {
+			if err := run(mode, shards); err != nil {
+				return zero, err
+			}
+		}
+		// The last run outside the loop: no reference to the dataset
+		// outlives its staging, so it is garbage while that run executes
+		// (inside the loop it stays live and raises peak memory).
+		if err := run(modes[last], shards); err != nil {
+			return zero, err
+		}
+		return row(app, runs), nil
+	})
 }
 
 // Table is a simple aligned text table used by every experiment printer.

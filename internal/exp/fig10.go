@@ -28,18 +28,8 @@ type Fig10Result struct {
 // RunFig10 regenerates Figure 10: context-switch frequencies (and total
 // counts) during object deserialization.
 func RunFig10(o Options) (*Fig10Result, error) {
-	all := apps.All()
-	rows, err := runPoints(o, len(all), func(i int, po Options) (Fig10Row, error) {
-		app := all[i]
-		shards := app.Generate(po.scale(), po.Seed)
-		base, _, err := runApp(app, apps.ModeBaseline, po, shards)
-		if err != nil {
-			return Fig10Row{}, fmt.Errorf("fig10 %s baseline: %w", app.Name, err)
-		}
-		morph, _, err := runApp(app, apps.ModeMorpheus, po, shards)
-		if err != nil {
-			return Fig10Row{}, fmt.Errorf("fig10 %s morpheus: %w", app.Name, err)
-		}
+	rows, err := sweepApps(o, "fig10", baseMorph, func(app *apps.App, runs []appRun) Fig10Row {
+		base, morph := runs[0], runs[1]
 		row := Fig10Row{
 			App:         app.Name,
 			BaseCount:   base.DeserCtxSwitches,
@@ -53,7 +43,7 @@ func RunFig10(o Options) (*Fig10Result, error) {
 		if row.BaseCount > 0 {
 			row.CountReduction = 1 - float64(row.MorphCount)/float64(row.BaseCount)
 		}
-		return row, nil
+		return row
 	})
 	if err != nil {
 		return nil, err

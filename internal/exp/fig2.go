@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"morpheus/internal/apps"
 	"morpheus/internal/units"
 )
@@ -28,13 +26,8 @@ type Fig2Result struct {
 // the conventional model ("Other CPU computation / Deserialization /
 // GPU-CPU Data Copy / GPU Kernels").
 func RunFig2(o Options) (*Fig2Result, error) {
-	res := &Fig2Result{}
-	var fracs []float64
-	for _, app := range apps.All() {
-		rep, _, err := runApp(app, apps.ModeBaseline, o, app.Generate(o.scale(), o.Seed))
-		if err != nil {
-			return nil, fmt.Errorf("fig2 %s: %w", app.Name, err)
-		}
+	rows, err := sweepApps(o, "fig2", []apps.Mode{apps.ModeBaseline}, func(app *apps.App, runs []appRun) Fig2Row {
+		rep := runs[0]
 		// For CPU (MPI) applications the computation kernel is CPU work;
 		// Figure 2's legend folds it into "Other CPU computation".
 		other := rep.OtherCPU
@@ -43,7 +36,7 @@ func RunFig2(o Options) (*Fig2Result, error) {
 			other += rep.GPUKernel
 			gpuKernel = 0
 		}
-		row := Fig2Row{
+		return Fig2Row{
 			App:       app.Name,
 			Deser:     rep.Deser,
 			OtherCPU:  other,
@@ -52,7 +45,13 @@ func RunFig2(o Options) (*Fig2Result, error) {
 			Total:     rep.Total,
 			DeserFrac: rep.DeserFraction(),
 		}
-		res.Rows = append(res.Rows, row)
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig2Result{Rows: rows}
+	var fracs []float64
+	for _, row := range rows {
 		fracs = append(fracs, row.DeserFrac)
 	}
 	res.AvgDeserFrac = mean(fracs)

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"morpheus/internal/apps"
 	"morpheus/internal/units"
 )
@@ -25,31 +23,17 @@ type Fig8Result struct {
 	SpMV float64
 }
 
-// RunFig8 regenerates Figure 8. Applications are independent sweep
-// points, so they fan out across the worker pool.
+// RunFig8 regenerates Figure 8.
 func RunFig8(o Options) (*Fig8Result, error) {
-	all := apps.All()
-	rows, err := runPoints(o, len(all), func(i int, po Options) (Fig8Row, error) {
-		app := all[i]
-		shards := app.Generate(po.scale(), po.Seed)
-		base, _, err := runApp(app, apps.ModeBaseline, po, shards)
-		if err != nil {
-			return Fig8Row{}, fmt.Errorf("fig8 %s baseline: %w", app.Name, err)
-		}
-		morph, _, err := runApp(app, apps.ModeMorpheus, po, shards)
-		if err != nil {
-			return Fig8Row{}, fmt.Errorf("fig8 %s morpheus: %w", app.Name, err)
-		}
-		if err := apps.VerifyObjects(base, morph); err != nil {
-			return Fig8Row{}, fmt.Errorf("fig8 %s: object mismatch: %w", app.Name, err)
-		}
+	rows, err := sweepApps(o, "fig8", baseMorph, func(app *apps.App, runs []appRun) Fig8Row {
+		base, morph := runs[0], runs[1]
 		return Fig8Row{
 			App:           app.Name,
 			BaselineDeser: base.Deser,
 			MorpheusDeser: morph.Deser,
 			Speedup:       float64(base.Deser) / float64(morph.Deser),
 			CyclesPerByte: morph.CyclesPerByte,
-		}, nil
+		}
 	})
 	if err != nil {
 		return nil, err

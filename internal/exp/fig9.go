@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"morpheus/internal/apps"
 	"morpheus/internal/power"
 	"morpheus/internal/units"
@@ -45,20 +43,9 @@ func deserLoad(rep *apps.Report, freq units.Frequency) power.Load {
 // consumption during object deserialization.
 func RunFig9(o Options) (*Fig9Result, error) {
 	model := power.DefaultModel()
-	all := apps.All()
-	rows, err := runPoints(o, len(all), func(i int, po Options) (Fig9Row, error) {
-		app := all[i]
-		shards := app.Generate(po.scale(), po.Seed)
-		base, sysB, err := runApp(app, apps.ModeBaseline, po, shards)
-		if err != nil {
-			return Fig9Row{}, fmt.Errorf("fig9 %s baseline: %w", app.Name, err)
-		}
-		morph, sysM, err := runApp(app, apps.ModeMorpheus, po, shards)
-		if err != nil {
-			return Fig9Row{}, fmt.Errorf("fig9 %s morpheus: %w", app.Name, err)
-		}
-		bl := deserLoad(base, sysB.Host.CPU.Freq)
-		ml := deserLoad(morph, sysM.Host.CPU.Freq)
+	rows, err := sweepApps(o, "fig9", baseMorph, func(app *apps.App, runs []appRun) Fig9Row {
+		bl := deserLoad(runs[0].Report, runs[0].CPUFreq)
+		ml := deserLoad(runs[1].Report, runs[1].CPUFreq)
 		row := Fig9Row{
 			App:         app.Name,
 			BasePower:   model.AveragePower(bl),
@@ -68,7 +55,7 @@ func RunFig9(o Options) (*Fig9Result, error) {
 		}
 		row.NormPower = float64(row.MorphPower) / float64(row.BasePower)
 		row.NormEnergy = float64(row.MorphEnergy) / float64(row.BaseEnergy)
-		return row, nil
+		return row
 	})
 	if err != nil {
 		return nil, err

@@ -19,8 +19,10 @@ type tabler interface{ Table() *Table }
 
 // parallelCases are the experiments the byte-identity guarantee is
 // checked against: the headline figure, the power figure (whose rows
-// depend on per-run system state), and the fault campaign (whose rows
-// depend on hash-derived fault injection and per-scenario mutation).
+// depend on per-run system state), the end-to-end sweep (whose GPU
+// points add a verified NVMe-P2P run), and the fault campaign (whose
+// rows depend on hash-derived fault injection and per-scenario
+// mutation).
 var parallelCases = []struct {
 	name  string
 	heavy bool
@@ -34,6 +36,7 @@ var parallelCases = []struct {
 }{
 	{"fig8", false, 0, func(o Options) (tabler, error) { return RunFig8(o) }},
 	{"fig9", false, 0, func(o Options) (tabler, error) { return RunFig9(o) }},
+	{"endtoend", false, 0, func(o Options) (tabler, error) { return RunEndToEnd(o) }},
 	{"faults", true, 0, func(o Options) (tabler, error) { return RunFaults(o) }},
 	{"cachesweep", false, 0, func(o Options) (tabler, error) { return RunCachesweep(o) }},
 	{"serve", false, 0, func(o Options) (tabler, error) { return RunServe(o) }},
@@ -246,6 +249,34 @@ func TestParallelTelemetryMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestSameRunsSameTelemetry: fig8, fig9, fig10 and traffic read
+// different columns off the same baseline and Morpheus runs of every
+// application, so they must emit the same metrics, series and trace byte
+// for byte — one sweep, one fold, whatever the rows are.
+func TestSameRunsSameTelemetry(t *testing.T) {
+	o := testOptions()
+	o.Scale = 1.0 / 8192
+	o.MetricsWindow = 100 * units.Microsecond
+	runs := []struct {
+		name string
+		run  func(Options) (tabler, error)
+	}{
+		{"fig8", func(o Options) (tabler, error) { return RunFig8(o) }},
+		{"fig9", func(o Options) (tabler, error) { return RunFig9(o) }},
+		{"fig10", func(o Options) (tabler, error) { return RunFig10(o) }},
+		{"traffic", func(o Options) (tabler, error) { return RunTraffic(o) }},
+	}
+	want := observedTelemetryRun(t, runs[0].run, o)
+	if len(want.events) == 0 || !bytes.Contains(want.series, []byte(`"windows"`)) {
+		t.Fatalf("fig8 emitted no telemetry: %d events, %d series bytes", len(want.events), len(want.series))
+	}
+	for _, r := range runs[1:] {
+		got := observedTelemetryRun(t, r.run, o)
+		got.table = want.table // the rows differ by design
+		diffTelemetry(t, r.name+" vs fig8", want, got)
+	}
+}
+
 // TestRunPointsOrderAndFold: results come back in point order regardless
 // of completion order, and the per-point sinks fold in point order.
 func TestRunPointsOrderAndFold(t *testing.T) {
@@ -295,7 +326,7 @@ func TestRunPointsOrderAndFold(t *testing.T) {
 }
 
 // TestRunPointsLowestError: when several points fail, the error reported
-// is the one the sequential loop would have hit first.
+// is the one a one-at-a-time run would have hit first.
 func TestRunPointsLowestError(t *testing.T) {
 	o := testOptions()
 	o.Parallel = 8
@@ -311,9 +342,9 @@ func TestRunPointsLowestError(t *testing.T) {
 	}
 }
 
-// TestRunPointsSequentialIsolation: the one-worker path derives the same
-// isolated per-point sinks the pool does (identical float grouping is
-// what makes worker counts byte-equivalent) and folds them back; with no
+// TestRunPointsSequentialIsolation: at one worker the pool still derives
+// isolated per-point sinks (identical float grouping is what makes
+// worker counts byte-equivalent) and folds them back; with no
 // sinks configured, the caller's Options pass through untouched.
 func TestRunPointsSequentialIsolation(t *testing.T) {
 	o := testOptions()

@@ -63,21 +63,8 @@ type TrafficResult struct {
 // RunTraffic regenerates the §VII-A traffic measurements over the full
 // runs (deserialization + kernel).
 func RunTraffic(o Options) (*TrafficResult, error) {
-	res := &TrafficResult{}
-	var pcieRed, memRed []float64
-	for _, app := range apps.All() {
-		shards := app.Generate(o.scale(), o.Seed)
-		_, sysB, err := runApp(app, apps.ModeBaseline, o, shards)
-		if err != nil {
-			return nil, fmt.Errorf("traffic %s baseline: %w", app.Name, err)
-		}
-		_, sysM, err := runApp(app, apps.ModeMorpheus, o, shards)
-		if err != nil {
-			return nil, fmt.Errorf("traffic %s morpheus: %w", app.Name, err)
-		}
-		// Read through point-in-time snapshots so later activity on the
-		// systems (or a tenant sharing the set) cannot skew the rows.
-		cb, cm := sysB.Counters.Snapshot(), sysM.Counters.Snapshot()
+	rows, err := sweepApps(o, "traffic", baseMorph, func(app *apps.App, runs []appRun) TrafficRow {
+		cb, cm := runs[0].Counters, runs[1].Counters
 		row := TrafficRow{
 			App:         app.Name,
 			BasePCIe:    cb.Bytes(stats.PCIeHostBytes) + cb.Bytes(stats.PCIeP2PBytes),
@@ -91,7 +78,14 @@ func RunTraffic(o Options) (*TrafficResult, error) {
 		if row.BaseMemBus > 0 {
 			row.MemBusReduction = 1 - float64(row.MorphMemBus)/float64(row.BaseMemBus)
 		}
-		res.Rows = append(res.Rows, row)
+		return row
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &TrafficResult{Rows: rows}
+	var pcieRed, memRed []float64
+	for _, row := range rows {
 		pcieRed = append(pcieRed, row.PCIeReduction)
 		memRed = append(memRed, row.MemBusReduction)
 	}
