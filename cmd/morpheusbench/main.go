@@ -14,10 +14,10 @@
 // endtoend, slowhost, multiprog, serialize, faults, cachesweep, serve,
 // array, ablation, all.
 //
-// -ssd-cache enables the SSD-DRAM deserialized-object cache (an extension
-// beyond the paper) in every experiment; -ssd-cache-mb sizes it. The
-// cachesweep experiment manages the cache itself and ignores both flags'
-// cache fields where it must.
+// -ssd-cache-mb N enables the SSD-DRAM deserialized-object cache (an
+// extension beyond the paper) at N MiB in every experiment; 0, the
+// default, leaves it off. The cachesweep experiment manages the cache
+// itself and ignores the flag's cache fields where it must.
 //
 // -batch-depth and -window-depth tune the batched submission front-end in
 // every experiment: batch-depth MREAD commands are coalesced into one
@@ -62,24 +62,21 @@
 // cmd/morpheuscheck compares two -metrics-out JSON artifacts under
 // per-metric tolerances — the CI regression gate.
 //
-// -parallel fans an experiment's independent sweep points (one per
-// application) across a worker pool. Results — tables, -metrics-out,
-// -trace-out — are byte-identical at every worker count: each point runs
-// on an isolated system with private observation sinks, and the harness
-// folds them back in point order (see internal/exp/parallel.go).
+// -parallel caps the host goroutines simulating at once. It fans an
+// experiment's independent sweep points (one per application) across a
+// worker pool, and within one array (E17) point it bounds how many
+// shards' event engines run concurrently, advancing in conservative time
+// windows bounded by the replica-retry lookahead with cross-shard
+// re-fetches exchanged serially at window barriers (see
+// internal/array/parallel.go and DESIGN.md §7). Both layers draw from
+// one budget of -parallel tokens. Results — tables, -metrics-out,
+// -timeseries-out, -trace-out — are byte-identical at every worker
+// count: each point runs on an isolated system with private observation
+// sinks, and the harness folds them back in point order (see
+// internal/exp/parallel.go).
 //
-// -shard-parallel goes one level deeper: within one array (E17) point,
-// each shard's event engine runs on its own goroutine, advancing in
-// conservative time windows bounded by the replica-retry lookahead with
-// cross-shard re-fetches exchanged serially at window barriers (see
-// internal/array/parallel.go and DESIGN.md §7). Output stays
-// byte-identical at any positive setting and composes with -parallel:
-// both layers draw from one worker budget of max(-parallel, -shard-
-// parallel) goroutines. 0 (the default) keeps the sequential inline
-// serving loop.
-//
-// Count flags (-parallel, -shard-parallel, -batch-depth, -window-depth,
-// -ssd-cache-mb, -shards, -replicas) must not be negative: a negative
+// Count flags (-parallel, -batch-depth, -window-depth, -ssd-cache-mb,
+// -shards, -replicas) must not be negative: a negative
 // value exits with status 2 and names the flag instead of silently
 // falling back to a default.
 //
@@ -268,12 +265,10 @@ func main() {
 		format      = flag.String("format", "table", "output format: table or csv")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of every run to this file")
 		metricsOut  = flag.String("metrics-out", "", "write aggregated metrics to this file (.json for JSON, else Prometheus text)")
-		parallel    = flag.Int("parallel", 0, "workers for independent sweep points (0 = NumCPU, 1 = sequential); output is byte-identical at any setting")
-		shardPar    = flag.Int("shard-parallel", 0, "array experiment: run each point's shards on up to this many goroutines via the conservative-window executor (0 = sequential inline loop); output is byte-identical at any positive setting")
+		parallel    = flag.Int("parallel", 0, "host workers for sweep points and array shards together (0 = NumCPU, 1 = sequential); output is byte-identical at any setting")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile (taken after a final GC) to this file")
-		ssdCache    = flag.Bool("ssd-cache", false, "enable the SSD-DRAM deserialized-object cache in every experiment (extension beyond the paper)")
-		ssdCacheMB  = flag.Int("ssd-cache-mb", 0, "object-cache capacity in MiB (implies -ssd-cache; 0 = the 64MiB default)")
+		ssdCacheMB  = flag.Int("ssd-cache-mb", 0, "enable the SSD-DRAM deserialized-object cache at this capacity in MiB in every experiment (extension beyond the paper; 0 = off)")
 		batchDepth  = flag.Int("batch-depth", 0, "MREAD commands coalesced per doorbell ring in every experiment (1 = command-at-a-time; 0 = the config default)")
 		windowDepth = flag.Int("window-depth", 0, "bound on in-flight MREAD commands in every experiment (0 = 2x batch depth)")
 
@@ -295,7 +290,7 @@ func main() {
 		return nil
 	})
 	flag.Parse()
-	for _, name := range []string{"parallel", "shard-parallel", "batch-depth", "window-depth", "ssd-cache-mb", "shards", "replicas"} {
+	for _, name := range []string{"parallel", "batch-depth", "window-depth", "ssd-cache-mb", "shards", "replicas"} {
 		if n, _ := strconv.Atoi(flag.Lookup(name).Value.String()); n < 0 {
 			fmt.Fprintf(os.Stderr, "morpheusbench: -%s must not be negative (got %d)\n", name, n)
 			os.Exit(2)
@@ -340,14 +335,11 @@ func main() {
 	opts.Scale = *scale
 	opts.Seed = *seed
 	opts.Parallel = *parallel
-	opts.ShardParallel = *shardPar
-	if *ssdCache || *ssdCacheMB > 0 {
-		mb := *ssdCacheMB
+	if *ssdCacheMB > 0 {
+		size := units.Bytes(*ssdCacheMB) * units.MiB
 		opts.Mutate = func(cfg *core.SystemConfig) {
 			cfg.SSD.ObjectCache = true
-			if mb > 0 {
-				cfg.SSD.ObjectCacheSize = units.Bytes(mb) * units.MiB
-			}
+			cfg.SSD.ObjectCacheSize = size
 		}
 	}
 	if *batchDepth != 0 || *windowDepth != 0 {

@@ -45,7 +45,6 @@ func TestNegativeCountsFailLoudly(t *testing.T) {
 		flag, value string
 	}{
 		{"parallel", "-3"},
-		{"shard-parallel", "-1"},
 		{"batch-depth", "-4"},
 		{"window-depth", "-1"},
 		{"ssd-cache-mb", "-64"},
@@ -64,10 +63,25 @@ func TestNegativeCountsFailLoudly(t *testing.T) {
 	}
 	// Zero is every count flag's "use the default" value and stays valid.
 	args := []string{"-list"}
-	for _, f := range []string{"parallel", "shard-parallel", "batch-depth", "window-depth", "ssd-cache-mb", "shards", "replicas"} {
+	for _, f := range []string{"parallel", "batch-depth", "window-depth", "ssd-cache-mb", "shards", "replicas"} {
 		args = append(args, "-"+f, "0")
 	}
 	if code, stderr := runMain(t, args...); code != 0 {
 		t.Fatalf("zero counts: exit status %d (stderr: %q)", code, stderr)
+	}
+}
+
+// TestRetiredFlagsRejected: -parallel sizes the shard layer and
+// -ssd-cache-mb N turns the cache on, so -shard-parallel and a boolean
+// -ssd-cache are not flags; naming one is a usage error, not a no-op.
+func TestRetiredFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-shard-parallel", "4"},
+		{"-ssd-cache"},
+	} {
+		code, stderr := runMain(t, append([]string{"-list"}, args...)...)
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: exit status %d, stderr %q; want 2 and an undefined-flag error", args, code, stderr)
+		}
 	}
 }

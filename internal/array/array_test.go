@@ -189,11 +189,11 @@ func TestTrafficDeterministic(t *testing.T) {
 	const objects = 8
 	a, app := testFleet(t, 3, 2, objects)
 	b, _ := testFleet(t, 3, 2, objects)
-	ra, err := RunTraffic(a, testTraffic(app, objects, 7))
+	ra, err := RunTrafficParallel(a, testTraffic(app, objects, 7), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := RunTraffic(b, testTraffic(app, objects, 7))
+	rb, err := RunTrafficParallel(b, testTraffic(app, objects, 7), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,18 +222,18 @@ func TestArrayResetReuse(t *testing.T) {
 	}
 
 	fresh, app := testFleet(t, 3, 2, objects)
-	want, err := RunTraffic(fresh, testTraffic(app, objects, 7))
+	want, err := RunTrafficParallel(fresh, testTraffic(app, objects, 7), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantJSON := fleetJSON(fresh)
 
 	reused, _ := testFleet(t, 3, 2, objects)
-	if _, err := RunTraffic(reused, testTraffic(app, objects, 11)); err != nil {
+	if _, err := RunTrafficParallel(reused, testTraffic(app, objects, 11), 1); err != nil {
 		t.Fatal(err)
 	}
 	reused.ResetTimers()
-	got, err := RunTraffic(reused, testTraffic(app, objects, 7))
+	got, err := RunTrafficParallel(reused, testTraffic(app, objects, 7), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

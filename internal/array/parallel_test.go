@@ -128,15 +128,38 @@ func TestLookaheadPositive(t *testing.T) {
 	}
 }
 
+// runInline is the reference serving loop the windowed executor is
+// checked against: one goroutine issues the whole schedule in global
+// arrival order, interleaving shards, and a degraded request's replica
+// re-fetch runs on the holder the moment it is needed.
+func runInline(a *Array, tc TrafficConfig) (*TrafficResult, error) {
+	classes, err := checkTraffic(&tc)
+	if err != nil {
+		return nil, err
+	}
+	res := newTrafficResult(a, &tc, classes)
+	reqs := buildSchedule(a, &tc, classes)
+	inflight := make([][]units.Time, len(a.Shards))
+	refs := map[string][]byte{}
+	for _, rq := range reqs {
+		if err := serveOne(a, &tc, classes, rq, res, &inflight[rq.primary], refs); err != nil {
+			return nil, err
+		}
+	}
+	res.FairnessTenants = jainPositive(res.TenantServed)
+	res.FairnessShards = jain(res.ShardServed)
+	return res, nil
+}
+
 // TestParallelTrafficMatchesInlineWhenHealthy: with no degraded-mode
 // traffic there are no cross-shard edges at all, and the windowed
-// executor must reproduce the inline path's results and per-shard
-// metrics exactly — the protocols only diverge on contended re-fetch
+// executor must reproduce the inline reference's results and per-shard
+// metrics exactly — the two orders only diverge on contended re-fetch
 // ordering, never on independent serving.
 func TestParallelTrafficMatchesInlineWhenHealthy(t *testing.T) {
 	const objects = 8
 	a, app := parFleet(t, 4, 2, objects)
-	inline, err := RunTraffic(a, windowTraffic(app, objects, 7))
+	inline, err := runInline(a, windowTraffic(app, objects, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +170,8 @@ func TestParallelTrafficMatchesInlineWhenHealthy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The windowed run carries protocol accounting the inline path never
-	// populates; with no degraded traffic nothing may have parked.
+	// The windowed run carries protocol accounting the inline reference
+	// never populates; with no degraded traffic nothing may have parked.
 	if windowed.Windows == 0 || windowed.Rounds == 0 {
 		t.Fatalf("windowed run recorded no protocol activity: %d windows, %d rounds", windowed.Windows, windowed.Rounds)
 	}
@@ -170,12 +193,11 @@ func TestParallelTrafficMatchesInlineWhenHealthy(t *testing.T) {
 }
 
 // TestParallelTrafficByteIdenticalAcrossSlots is the core contract at
-// fleet level: the same run at -shard-parallel 1, 4, and 8 produces
-// identical results, identical
-// per-shard metrics JSON, and an identical adopted trace, span IDs
-// included, and fires the same number of simulated events. The CI race
-// battery runs this under -race, so the slot>1 runs also prove the
-// executor free of data races.
+// fleet level: the same run at 1, 4, and 8 worker slots produces
+// identical results, identical per-shard metrics JSON, and an identical
+// adopted trace, span IDs included, and fires the same number of
+// simulated events. The CI race battery runs this under -race, so the
+// slot>1 runs also prove the executor free of data races.
 func TestParallelTrafficByteIdenticalAcrossSlots(t *testing.T) {
 	want := runWindowed(t, 1, false, 7)
 	if want.res.Admitted == 0 {
@@ -216,9 +238,9 @@ func TestKillShardDuringWindow(t *testing.T) {
 
 // TestParallelTrafficRestoresAndReuses: the executor must leave the
 // fleet exactly as it found it — replica routers and tracer restored —
-// so a reset fleet reruns (windowed or inline) as if fresh, and a
-// killed-shard inline run after a windowed run still routes re-fetches
-// through the real shardFetcher rather than a leaked parking fetcher.
+// so a reset fleet reruns as if fresh, and a direct request to a killed
+// shard after a windowed run still routes its re-fetch through the real
+// shardFetcher rather than a leaked parking fetcher.
 func TestParallelTrafficRestoresAndReuses(t *testing.T) {
 	const objects = 8
 	fresh, app := parFleet(t, 3, 2, objects)
@@ -244,8 +266,8 @@ func TestParallelTrafficRestoresAndReuses(t *testing.T) {
 		t.Fatal("reused fleet metrics differ from a fresh fleet's")
 	}
 
-	// Inline degraded mode still works after a windowed run: the real
-	// replica router was restored.
+	// Degraded mode outside the executor still works after a windowed
+	// run: the real replica router was restored.
 	reused.ResetTimers()
 	name := ObjectName(0)
 	primary := reused.Place(name)[0]
@@ -261,7 +283,7 @@ func TestParallelTrafficRestoresAndReuses(t *testing.T) {
 		Fallback: &core.Fallback{Parser: app.HostParser, Spec: app.Spec},
 	})
 	if err != nil {
-		t.Fatalf("inline degraded request after a windowed run failed: %v", err)
+		t.Fatalf("direct degraded request after a windowed run failed: %v", err)
 	}
 	if inv.Path != core.PathReplicaFallback {
 		t.Fatalf("served via %v, want %v", inv.Path, core.PathReplicaFallback)

@@ -247,25 +247,21 @@ func arrayPointRun(po Options, pt arrayPoint, app *apps.App, tenants, requests, 
 		Spec:     app.Spec,
 		Classes:  classes,
 	}
-	var tr *array.TrafficResult
+	// The point's own token (held by runPoints) funds one shard worker;
+	// extra slots, up to min(shards, cap), are taken best-effort from the
+	// shared budget. cap is ShardParallel when a caller pins it and the
+	// whole budget otherwise. Slot counts never change bytes, so
+	// starvation degrades wall-clock only.
+	want := po.budget.Cap()
 	if po.ShardParallel > 0 {
-		// The point's own token (held by runPoints) funds one shard
-		// worker; extra slots are scavenged best-effort from the shared
-		// budget. Slot counts never change bytes, so starvation degrades
-		// wall-clock only.
-		want := po.ShardParallel
-		if want > pt.shards {
-			want = pt.shards
-		}
-		extras := 0
-		if po.budget != nil {
-			extras = po.budget.TryAcquire(want - 1)
-			defer po.budget.Release(extras)
-		}
-		tr, err = array.RunTrafficParallel(a, tc, 1+extras)
-	} else {
-		tr, err = array.RunTraffic(a, tc)
+		want = po.ShardParallel
 	}
+	if want > pt.shards {
+		want = pt.shards
+	}
+	extras := po.budget.TryAcquire(want - 1)
+	defer po.budget.Release(extras)
+	tr, err := array.RunTrafficParallel(a, tc, 1+extras)
 	if err != nil {
 		return ArrayRow{}, err
 	}
@@ -310,8 +306,9 @@ func arrayPointRun(po Options, pt arrayPoint, app *apps.App, tenants, requests, 
 }
 
 // RunArray runs the sweep. Points are independent fleets and fan out
-// across the worker pool; output is byte-identical at any -parallel
-// setting and under either sim engine.
+// across the worker pool, and each point's shards run on the
+// conservative-window executor; output is byte-identical at any
+// -parallel setting.
 func RunArray(o Options, sw ArraySweep) (*ArrayResult, error) {
 	grid, err := arrayGrid(sw)
 	if err != nil {

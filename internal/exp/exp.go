@@ -61,13 +61,13 @@ type Options struct {
 	// one worker per CPU, 1 runs the points one at a time. Output (tables,
 	// Metrics, Trace) is byte-identical at every setting; see parallel.go.
 	Parallel int
-	// ShardParallel, when positive, runs each array point's shards through
-	// the conservative-window executor (array.RunTrafficParallel) with up
-	// to this many concurrent shard goroutines; 0 keeps the inline
-	// sequential serving loop. Points and shard goroutines draw from one
+	// ShardParallel, when positive, caps how many of an array point's
+	// shards simulate concurrently on the conservative-window executor
+	// (array.RunTrafficParallel); 0 lets a point take as many as the
+	// worker budget spares. Points and shard goroutines draw from one
 	// shared worker budget sized max(workers, ShardParallel), so the two
 	// layers of parallelism never oversubscribe the machine together.
-	// Output is byte-identical at every positive setting; see
+	// Output is byte-identical at every setting; see
 	// internal/array/parallel.go for the determinism argument.
 	ShardParallel int
 	// budget is the experiment-wide worker semaphore runPoints lazily

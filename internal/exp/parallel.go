@@ -44,11 +44,11 @@ func (o Options) workers() int {
 
 // ensureBudget lazily creates the experiment-wide worker budget both
 // layers of parallelism draw from: every in-flight sweep point holds one
-// token, and an array point running shards concurrently scavenges extra
-// tokens for its shard goroutines (arrayPointRun). The cap is
-// max(point workers, ShardParallel): enough for the full point fan-out
-// OR one point's full shard fan-out, but never the product of the two.
-// Tests inject a pre-made budget to pin the cap.
+// token, and an array point scavenges extra tokens for its shard
+// goroutines (arrayPointRun). The cap is the point worker count, raised
+// to ShardParallel when a caller pins a larger shard fan-out: enough for
+// the full point fan-out OR one point's full shard fan-out, but never
+// the product of the two. Tests inject a pre-made budget to pin the cap.
 func (o *Options) ensureBudget() {
 	if o.budget != nil {
 		return

@@ -39,14 +39,24 @@ var parallelCases = []struct {
 	{"endtoend", false, 0, func(o Options) (tabler, error) { return RunEndToEnd(o) }},
 	{"faults", true, 0, func(o Options) (tabler, error) { return RunFaults(o) }},
 	{"cachesweep", false, 0, func(o Options) (tabler, error) { return RunCachesweep(o) }},
-	{"serve", false, 0, func(o Options) (tabler, error) { return RunServe(o) }},
-	{"array", false, 0, func(o Options) (tabler, error) {
-		return RunArray(o, ArraySweep{Tenants: 64, Requests: 48, Objects: 8})
+	// E16 at the smallest scale whose MREAD trains are long enough to
+	// coalesce, so the batched rows really batch.
+	{"serve", false, 1.0 / 2048, func(o Options) (tabler, error) {
+		r, err := RunServe(o)
+		if err != nil {
+			return nil, err
+		}
+		// E16's acceptance property: batched submission cuts the
+		// per-command host submit overhead at every depth >= 8.
+		for _, row := range r.Rows {
+			if row.Batch >= 8 && row.Reduction <= 1 {
+				return nil, fmt.Errorf("serve %s (%d,%d): submit overhead %.0f ps/cmd did not drop below command-at-a-time %.0f ps/cmd",
+					row.App, row.Batch, row.Window, row.OverheadPS, row.BaseOverheadPS)
+			}
+		}
+		return r, nil
 	}},
-	// The same sweep through the conservative-window shard executor: the
-	// point fan-out and the shard fan-out must compose byte-identically.
-	{"array-shardpar", false, 0, func(o Options) (tabler, error) {
-		o.ShardParallel = 4
+	{"array", false, 0, func(o Options) (tabler, error) {
 		return RunArray(o, ArraySweep{Tenants: 64, Requests: 48, Objects: 8})
 	}},
 	{"fig8-hi", true, 1.0 / 1024, func(o Options) (tabler, error) { return RunFig8(o) }},

@@ -99,7 +99,7 @@ func (r *Rendezvous) Arrive(serial func()) {
 // sweep point holds one token, and a point running its shards
 // concurrently scavenges extra tokens (TryAcquire) for the shard
 // executor — so points × shards can never exceed the single global
-// bound, no matter how -parallel and -shard-parallel are combined.
+// bound that -parallel sets.
 //
 // Token counts only gate host CPU concurrency. Simulated output is
 // byte-identical whatever Acquire/TryAcquire hand out, which is why the
