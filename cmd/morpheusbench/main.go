@@ -78,7 +78,7 @@
 // Count flags (-parallel, -batch-depth, -window-depth, -ssd-cache-mb,
 // -shards, -replicas) must not be negative: a negative
 // value exits with status 2 and names the flag instead of silently
-// falling back to a default.
+// falling back to a default. So does a -format other than table or csv.
 //
 // -cpuprofile and -memprofile write standard pprof profiles of the whole
 // run (`go tool pprof morpheusbench cpu.pprof`); the heap profile is
@@ -295,6 +295,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "morpheusbench: -%s must not be negative (got %d)\n", name, n)
 			os.Exit(2)
 		}
+	}
+	if *format != "table" && *format != "csv" {
+		fmt.Fprintf(os.Stderr, "morpheusbench: -format must be table or csv (got %q)\n", *format)
+		os.Exit(2)
 	}
 	exps := experiments()
 	if *list {

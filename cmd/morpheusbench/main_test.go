@@ -85,3 +85,17 @@ func TestRetiredFlagsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownFormatFailsLoudly: -format accepts table or csv; anything
+// else is a usage error naming the flag, not tables printed anyway.
+func TestUnknownFormatFailsLoudly(t *testing.T) {
+	code, stderr := runMain(t, "-list", "-format", "json")
+	if code != 2 || !strings.Contains(stderr, "-format must be table or csv") {
+		t.Fatalf("exit status %d, stderr %q; want 2 and a message naming -format", code, stderr)
+	}
+	for _, f := range []string{"table", "csv"} {
+		if code, stderr := runMain(t, "-list", "-format", f); code != 0 {
+			t.Errorf("-format %s: exit status %d (stderr: %q)", f, code, stderr)
+		}
+	}
+}

@@ -27,7 +27,7 @@ type E2EResult struct {
 // RunEndToEnd regenerates the end-to-end evaluation across the three
 // configurations (NVMe-P2P for the GPU applications only).
 func RunEndToEnd(o Options) (*E2EResult, error) {
-	modes := []apps.Mode{apps.ModeBaseline, apps.ModeMorpheus, apps.ModeMorpheusP2P}
+	modes := []variant{{mode: apps.ModeBaseline}, {mode: apps.ModeMorpheus}, {mode: apps.ModeMorpheusP2P}}
 	rows, err := sweepApps(o, "endtoend", modes, func(app *apps.App, runs []appRun) E2ERow {
 		base, morph := runs[0], runs[1]
 		row := E2ERow{

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -269,5 +271,48 @@ func TestAblation(t *testing.T) {
 		if tbl == nil || len(tbl.Rows) == 0 {
 			t.Fatal("empty ablation table")
 		}
+	}
+	// col reads column c of every row as a number ("1.57x", "+0.4%", "124").
+	col := func(tbl *Table, c int) []float64 {
+		var xs []float64
+		for _, row := range tbl.Rows {
+			x, err := strconv.ParseFloat(strings.TrimRight(row[c], "x%"), 64)
+			if err != nil {
+				t.Fatalf("%s: %v", tbl.Title, err)
+			}
+			xs = append(xs, x)
+		}
+		return xs
+	}
+	strictlyFalls := func(name string, xs []float64) {
+		for i := 1; i < len(xs); i++ {
+			if xs[i] >= xs[i-1] {
+				t.Errorf("%s does not strictly fall: %v", name, xs)
+				return
+			}
+		}
+	}
+	for _, e := range col(r.SampledVsExact, 3) {
+		if math.Abs(e) > 5 {
+			t.Errorf("sampled timing off by %+.1f%% from exact", e)
+		}
+	}
+	sp := col(r.SoftFloat, 2)
+	strictlyFalls("spmv speedup as float cost rises", sp)
+	if sp[0] <= 1 {
+		t.Errorf("spmv speedup with a cheap FPU = %.2fx, want > 1", sp[0])
+	}
+	strictlyFalls("NVMe commands as MDTS grows", col(r.MDTS, 2))
+	if c := col(r.CoreCount, 2); c[1] < 1.5 || c[3] < c[2] { // 1, 2, 4, 8 cores
+		t.Errorf("core scaling %v: want 2 cores >= 1.5x one and 8 no slower than 4", c)
+	}
+	ctx := col(r.BatchDepth, 2)
+	for i := 1; i < len(ctx); i++ {
+		if ctx[i] > ctx[i-1] {
+			t.Errorf("deser context switches rise with batch depth: %v", ctx)
+		}
+	}
+	if ctx[0] <= ctx[len(ctx)-1] {
+		t.Errorf("batch depth 1 (%v ctx switches) not above depth 128 (%v)", ctx[0], ctx[len(ctx)-1])
 	}
 }

@@ -26,7 +26,7 @@ type Fig2Result struct {
 // the conventional model ("Other CPU computation / Deserialization /
 // GPU-CPU Data Copy / GPU Kernels").
 func RunFig2(o Options) (*Fig2Result, error) {
-	rows, err := sweepApps(o, "fig2", []apps.Mode{apps.ModeBaseline}, func(app *apps.App, runs []appRun) Fig2Row {
+	rows, err := sweepApps(o, "fig2", []variant{{mode: apps.ModeBaseline}}, func(app *apps.App, runs []appRun) Fig2Row {
 		rep := runs[0]
 		// For CPU (MPI) applications the computation kernel is CPU work;
 		// Figure 2's legend folds it into "Other CPU computation".

@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"bytes"
 	"fmt"
 
 	"morpheus/internal/apps"
+	"morpheus/internal/core"
 	"morpheus/internal/host"
 	"morpheus/internal/units"
 )
@@ -20,6 +22,7 @@ type Fig3Cell struct {
 
 // Fig3Result is the whole figure.
 type Fig3Result struct {
+	// Cells lists each application's cells together, frequency-major.
 	Cells []Fig3Cell
 	// Ratios summarize the paper's two claims at 2.5 GHz: NVMe/HDD and
 	// RamDrive/NVMe.
@@ -29,35 +32,58 @@ type Fig3Result struct {
 	Slowdown12over25 float64
 }
 
-// fig3Media lists the media in the figure's order.
-var fig3Media = []string{"NVMe SSD", "RamDrive", "HDD"}
+// fig3Media and fig3Freqs list the media and host frequencies in the
+// figure's order.
+var (
+	fig3Media = []string{"NVMe SSD", "RamDrive", "HDD"}
+	fig3Freqs = []units.Frequency{2.5 * units.GHz, 1.2 * units.GHz}
+)
 
 // RunFig3 regenerates Figure 3: the same conventional deserializer fed
 // from the NVMe SSD, a RAM drive, and a hard drive, at 2.5 and 1.2 GHz —
-// demonstrating that object deserialization is CPU-bound.
+// demonstrating that object deserialization is CPU-bound. Each
+// application is one runPoints point: it generates one thread's worth of
+// data once and runs all six cells over it, checking that every cell
+// builds the same objects.
 func RunFig3(o Options) (*Fig3Result, error) {
-	res := &Fig3Result{}
-	freqs := []units.Frequency{2.5 * units.GHz, 1.2 * units.GHz}
-	var sums [2]map[string]float64
-	sums[0] = map[string]float64{}
-	sums[1] = map[string]float64{}
-	napps := 0
-	for _, app := range apps.All() {
-		napps++
-		for fi, f := range freqs {
+	all := apps.All()
+	perApp, err := runPoints(o, len(all), func(i int, po Options) ([]Fig3Cell, error) {
+		app := all[i]
+		target := units.Bytes(float64(app.PaperInputSize) * po.scale() / float64(app.Threads))
+		shard := app.Gen(target, 1, po.Seed)[0]
+		var cells []Fig3Cell
+		var first []byte
+		for _, f := range fig3Freqs {
 			for _, medium := range fig3Media {
-				bw, err := fig3Run(app, medium, f, o)
+				bw, out, err := fig3Run(app, medium, f, po, shard)
 				if err != nil {
 					return nil, fmt.Errorf("fig3 %s/%s: %w", app.Name, medium, err)
 				}
-				res.Cells = append(res.Cells, Fig3Cell{
-					App: app.Name, Medium: medium, CPUFreq: f, Effective: bw,
-				})
-				sums[fi][medium] += float64(bw)
+				if cells == nil {
+					first = out
+				} else if !bytes.Equal(first, out) {
+					return nil, fmt.Errorf("fig3 %s/%s at %v: objects differ from %s at %v",
+						app.Name, medium, f, fig3Media[0], fig3Freqs[0])
+				}
+				cells = append(cells, Fig3Cell{App: app.Name, Medium: medium, CPUFreq: f, Effective: bw})
 			}
 		}
+		return cells, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	n := float64(napps)
+	// The ratios are float sums; summing in app → frequency → medium
+	// order fixes their grouping at any worker count.
+	res := &Fig3Result{}
+	sums := [2]map[string]float64{{}, {}}
+	for _, cells := range perApp {
+		for k, c := range cells {
+			res.Cells = append(res.Cells, c)
+			sums[k/len(fig3Media)][c.Medium] += float64(c.Effective)
+		}
+	}
+	n := float64(len(all))
 	res.NVMeOverHDD25 = sums[0]["NVMe SSD"] / sums[0]["HDD"]
 	res.RAMOverNVMe25 = sums[0]["RamDrive"] / sums[0]["NVMe SSD"]
 	res.NVMeOverHDD12 = sums[1]["NVMe SSD"] / sums[1]["HDD"]
@@ -65,50 +91,35 @@ func RunFig3(o Options) (*Fig3Result, error) {
 	return res, nil
 }
 
-// fig3Run measures one cell: single I/O thread over the first shard.
-func fig3Run(app *apps.App, medium string, freq units.Frequency, o Options) (units.Bandwidth, error) {
+// fig3Run measures one cell, a single I/O thread over shard, and returns
+// its effective bandwidth and the objects it built.
+func fig3Run(app *apps.App, medium string, freq units.Frequency, o Options, shard []byte) (units.Bandwidth, []byte, error) {
 	sys, err := buildSystem(o, false)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	sys.Host.SetFrequency(freq)
-	// One thread's worth of data.
-	target := units.Bytes(float64(app.PaperInputSize) * o.scale() / float64(app.Threads))
-	shard := app.Gen(target, 1, o.Seed)[0]
-
-	var done units.Time
-	var objBytes int
+	var res *core.DeserResult
 	switch medium {
 	case "NVMe SSD":
-		f, err := sys.WriteFile(app.Name+"/fig3", shard)
-		if err != nil {
-			return 0, err
+		var f *core.File
+		if f, err = sys.WriteFile(app.Name+"/fig3", shard); err != nil {
+			return 0, nil, err
 		}
 		sys.ResetTimers()
-		res, err := sys.DeserializeConventional(0, f, app.HostParser(), app.Spec, 0)
-		if err != nil {
-			return 0, err
-		}
-		done, objBytes = res.Done, len(res.Out)
+		res, err = sys.DeserializeConventional(0, f, app.HostParser(), app.Spec, 0)
 	case "RamDrive":
-		res, err := sys.DeserializeFromMedium(0, host.NewRAMDrive(sys.Host), shard, app.HostParser(), app.Spec, 0)
-		if err != nil {
-			return 0, err
-		}
-		done, objBytes = res.Done, len(res.Out)
-	case "HDD":
-		res, err := sys.DeserializeFromMedium(0, host.NewHDD(sys.Host), shard, app.HostParser(), app.Spec, 0)
-		if err != nil {
-			return 0, err
-		}
-		done, objBytes = res.Done, len(res.Out)
-	default:
-		return 0, fmt.Errorf("fig3: unknown medium %q", medium)
+		res, err = sys.DeserializeFromMedium(0, host.NewRAMDrive(sys.Host), shard, app.HostParser(), app.Spec, 0)
+	default: // HDD
+		res, err = sys.DeserializeFromMedium(0, host.NewHDD(sys.Host), shard, app.HostParser(), app.Spec, 0)
 	}
-	if done == 0 {
-		return 0, fmt.Errorf("fig3: zero-duration run")
+	if err != nil {
+		return 0, nil, err
 	}
-	return units.Bandwidth(float64(objBytes) / units.Duration(done).Seconds()), nil
+	if res.Done == 0 {
+		return 0, nil, fmt.Errorf("fig3: zero-duration run")
+	}
+	return units.Bandwidth(float64(len(res.Out)) / units.Duration(res.Done).Seconds()), res.Out, nil
 }
 
 // Table renders the figure.
@@ -119,17 +130,12 @@ func (r *Fig3Result) Table() *Table {
 			"NVMe@2.5GHz", "Ram@2.5GHz", "HDD@2.5GHz",
 			"NVMe@1.2GHz", "Ram@1.2GHz", "HDD@1.2GHz"},
 	}
-	byApp := map[string][]string{}
-	var order []string
-	for _, c := range r.Cells {
-		if _, ok := byApp[c.App]; !ok {
-			order = append(order, c.App)
-			byApp[c.App] = []string{c.App}
+	for i, c := range r.Cells {
+		if i == 0 || c.App != r.Cells[i-1].App {
+			t.AddRow(c.App)
 		}
-		byApp[c.App] = append(byApp[c.App], c.Effective.String())
-	}
-	for _, app := range order {
-		t.AddRow(byApp[app]...)
+		row := &t.Rows[len(t.Rows)-1]
+		*row = append(*row, c.Effective.String())
 	}
 	t.Note("NVMe/HDD at 2.5GHz = %s (paper: ~1.5x); RamDrive/NVMe at 2.5GHz = %s (paper: ~1.0 — CPU-bound)",
 		f2(r.NVMeOverHDD25), f2(r.RAMOverNVMe25))
