@@ -77,7 +77,7 @@ func TestCacheDifferentialAcrossApps(t *testing.T) {
 				o := testOptions()
 				o.Seed = seed
 				shards := app.Generate(o.scale(), o.Seed)
-				uncached, _, err := runApp(app, apps.ModeMorpheus, o, shards)
+				uncached, _, err := runApp(app, variant{mode: apps.ModeMorpheus}, o, shards)
 				if err != nil {
 					t.Fatal(err)
 				}

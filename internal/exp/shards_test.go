@@ -23,7 +23,7 @@ func TestSharedShardsMatchFreshStage(t *testing.T) {
 		}
 		shards := app.Generate(o.scale(), o.Seed)
 		for _, mode := range modes {
-			shared, _, err := runApp(app, mode, o, shards)
+			shared, _, err := runApp(app, variant{mode: mode}, o, shards)
 			if err != nil {
 				t.Fatalf("%s %v shared: %v", name, mode, err)
 			}
