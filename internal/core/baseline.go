@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"morpheus/internal/host"
 	"morpheus/internal/nvme"
+	"morpheus/internal/serial"
 	"morpheus/internal/ssd"
 	"morpheus/internal/stats"
 	"morpheus/internal/units"
@@ -13,7 +15,8 @@ import (
 // HostParser is the conventional-path deserializer running on the host
 // CPU: it receives record-aligned chunks of raw file bytes and returns the
 // binary object bytes, exactly mirroring the StorageApp's output so the
-// two paths are bit-comparable. Implementations may be stateful closures.
+// two paths are bit-comparable. The returned bytes belong to the caller.
+// Implementations may be stateful closures.
 type HostParser func(chunk []byte, final bool) []byte
 
 // ParseSpec carries the per-application parameters of the host parse cost
@@ -45,28 +48,6 @@ type DeserResult struct {
 	Commands int
 }
 
-// recordAligner cuts a byte stream at newline boundaries, carrying partial
-// trailing records, so chunk-structured parsers see whole records.
-type recordAligner struct{ carry []byte }
-
-func (r *recordAligner) align(chunk []byte, final bool) []byte {
-	buf := append(r.carry, chunk...)
-	r.carry = nil
-	if final {
-		return buf
-	}
-	i := len(buf) - 1
-	for i >= 0 && buf[i] != '\n' {
-		i--
-	}
-	if i < 0 {
-		r.carry = buf
-		return nil
-	}
-	r.carry = append([]byte(nil), buf[i+1:]...)
-	return buf[:i+1]
-}
-
 // timesliceQuantum is the scheduler quantum charged against CPU-bound
 // phases (Linux CFS-era magnitude).
 const timesliceQuantum = 4 * units.Millisecond
@@ -94,19 +75,25 @@ func (s *System) DeserializeConventional(ready units.Time, f *File, parser HostP
 	}
 	defer s.Host.FreeDMA(bufAddr) // the page-cache staging window
 	res := &DeserResult{}
-	aligner := &recordAligner{}
+	var aligner serial.RecordAligner
 	var cpuAccum units.Duration // CPU time since the last timeslice expiry
 	chunks := s.chunksOf(f)
 	raws := make([][]byte, len(chunks))
+	var outs [][]byte
 	pending := make([]Pending, len(chunks))
-	issued := 0
-	issue := func() error {
-		k := issued
-		ctx := &ssd.CmdContext{
+	// read builds chunk k's READ; its sink gathers the page payloads into
+	// a buffer reserved at the chunk's full extent.
+	read := func(k int) *ssd.CmdContext {
+		raws[k] = make([]byte, 0, int(chunks[k].nlb)*nvme.LBASize)
+		return &ssd.CmdContext{
 			Cmd:  nvme.BuildRead(0, chunks[k].slba, chunks[k].nlb, uint64(bufAddr)),
 			Sink: func(p []byte) { raws[k] = append(raws[k], p...) },
 		}
-		p, t2, err := s.Driver.SubmitAsync(t, ctx)
+	}
+	issued := 0
+	issue := func() error {
+		k := issued
+		p, t2, err := s.Driver.SubmitAsync(t, read(k))
 		if err != nil {
 			return err
 		}
@@ -141,13 +128,7 @@ func (s *System) DeserializeConventional(ready units.Time, f *File, parser HostP
 			// independent, so a single chunk can be replayed in place.
 			origErr := statusErr("READ", pending[k].Comp.Status)
 			s.Metrics.AddAt(stats.CmdRetries, int64(t), 1)
-			_, t2, rerr := s.Driver.SubmitRetry(t, "READ", rp, func() *ssd.CmdContext {
-				raws[k] = nil
-				return &ssd.CmdContext{
-					Cmd:  nvme.BuildRead(0, chunks[k].slba, chunks[k].nlb, uint64(bufAddr)),
-					Sink: func(p []byte) { raws[k] = append(raws[k], p...) },
-				}
-			})
+			_, t2, rerr := s.Driver.SubmitRetry(t, "READ", rp, func() *ssd.CmdContext { return read(k) })
 			t = t2
 			if rerr != nil {
 				if origErr != nil {
@@ -179,7 +160,7 @@ func (s *System) DeserializeConventional(ready units.Time, f *File, parser HostP
 		// Phase B: parse on the CPU. The conversion loop reads the raw
 		// buffer and writes the object array — both cross the memory bus
 		// on top of the DMA traffic phase A already produced.
-		aligned := aligner.align(raw, ch.last)
+		aligned := aligner.Align(raw, ch.last)
 		var objs []byte
 		if len(aligned) > 0 || ch.last {
 			objs = parser(aligned, ch.last)
@@ -199,12 +180,26 @@ func (s *System) DeserializeConventional(ready units.Time, f *File, parser HostP
 		// Fresh object pages fault in as the array grows.
 		if len(objs) > 0 {
 			t = s.Host.PageFault(t)
+			outs = append(outs, objs)
 		}
-		res.Out = append(res.Out, objs...)
 		res.Commands++
 	}
+	res.Out = joinOutputs(outs)
 	res.Done = t
 	return res, nil
+}
+
+// joinOutputs concatenates the non-empty per-chunk object outputs into
+// one buffer of their exact total size (nil when there are none). A lone
+// output is returned as is: every producer hands over a buffer of its own.
+func joinOutputs(outs [][]byte) []byte {
+	switch len(outs) {
+	case 0:
+		return nil
+	case 1:
+		return outs[0]
+	}
+	return bytes.Join(outs, nil)
 }
 
 // DeserializeFromMedium is the Figure 3 variant: the same conventional
@@ -216,7 +211,8 @@ func (s *System) DeserializeFromMedium(ready units.Time, medium host.Medium, dat
 	cpb := spec.cyclesPerByte(s.Cfg.ParseCosts)
 	t := s.Host.Syscall(ready) // open
 	res := &DeserResult{}
-	aligner := &recordAligner{}
+	var aligner serial.RecordAligner
+	var outs [][]byte
 	chunkSize := int(s.Cfg.SSD.MDTS)
 	nChunks := (len(data) + chunkSize - 1) / chunkSize
 	ioDone := make([]units.Time, nChunks)
@@ -251,7 +247,7 @@ func (s *System) DeserializeFromMedium(ready units.Time, medium host.Medium, dat
 		}
 		res.RawBytes += units.Bytes(len(raw))
 		// Phase B: parse.
-		aligned := aligner.align(raw, final)
+		aligned := aligner.Align(raw, final)
 		var objs []byte
 		if len(aligned) > 0 || final {
 			objs = parser(aligned, final)
@@ -260,10 +256,11 @@ func (s *System) DeserializeFromMedium(ready units.Time, medium host.Medium, dat
 		s.Host.MemTraffic(t, units.Bytes(len(raw))+units.Bytes(len(objs)))
 		if len(objs) > 0 {
 			t = s.Host.PageFault(t)
+			outs = append(outs, objs)
 		}
-		res.Out = append(res.Out, objs...)
 		res.Commands++
 	}
+	res.Out = joinOutputs(outs)
 	res.Done = t
 	return res, nil
 }

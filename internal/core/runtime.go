@@ -301,7 +301,8 @@ func (s *System) invokeMorpheusOnce(ready units.Time, opt InvokeOptions, rp Retr
 	// train reaps just enough of the oldest completions to make room,
 	// rather than draining everything it has in flight.
 	res = &InvokeResult{Commands: 1}
-	sink := func(p []byte) { res.Out = append(res.Out, p...) }
+	var outs [][]byte
+	sink := func(p []byte) { outs = append(outs, p) }
 	dstAddr := uint64(dest.Addr)
 	batch := s.Cfg.BatchDepth
 	if batch <= 0 {
@@ -434,6 +435,7 @@ func (s *System) invokeMorpheusOnce(ready units.Time, opt InvokeOptions, rp Retr
 		return nil, end, err
 	}
 	res.Commands++
+	res.Out = joinOutputs(outs)
 	res.RetVal = comp.Result
 	res.Done = t
 	return res, end, nil

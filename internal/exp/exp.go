@@ -7,7 +7,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 	"text/tabwriter"
 
@@ -363,18 +362,6 @@ func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
 
 // f2 formats a float with two decimals.
 func f2(x float64) string { return fmt.Sprintf("%.2f", x) }
-
-// geoMean returns the geometric mean of xs (0 for empty).
-func geoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
 
 func mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -54,12 +54,6 @@ func TestStatsHelpers(t *testing.T) {
 	if m := mean(nil); m != 0 {
 		t.Fatalf("empty mean = %v", m)
 	}
-	if g := geoMean([]float64{2, 8}); g < 3.99 || g > 4.01 {
-		t.Fatalf("geomean = %v", g)
-	}
-	if g := geoMean(nil); g != 0 {
-		t.Fatalf("empty geomean = %v", g)
-	}
 }
 
 func TestOptionsDefaults(t *testing.T) {

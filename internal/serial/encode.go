@@ -3,13 +3,54 @@ package serial
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 )
 
-// AppendIntText appends the decimal text of v plus a separator.
+// twoDigits spells 00..99: bytes 2i and 2i+1 are the decimal digits of i.
+const twoDigits = "0001020304050607080910111213141516171819" +
+	"2021222324252627282930313233343536373839" +
+	"4041424344454647484950515253545556575859" +
+	"6061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
+
+// pow10 holds 10^0..10^18.
+var pow10 = [19]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18}
+
+// AppendIntText appends the decimal text of v plus a separator: the bytes
+// of strconv.AppendInt(dst, v, 10) followed by sep. Values in [0, 1e18)
+// are written in place, two digits at a time; the rest take strconv.
 func AppendIntText(dst []byte, v int64, sep byte) []byte {
-	dst = strconv.AppendInt(dst, v, 10)
-	return append(dst, sep)
+	if v < 0 || v >= 1e18 {
+		return append(strconv.AppendInt(dst, v, 10), sep)
+	}
+	u := uint64(v)
+	// bits.Len64(u)*1233>>12 is floor(log10(2^len)), one short of u's
+	// digit count or exact.
+	n := bits.Len64(u) * 1233 >> 12
+	if u >= pow10[n] {
+		n++
+	}
+	n = max(n, 1)
+	dst = slices.Grow(dst, n+1)
+	i := len(dst) + n
+	dst = dst[:i+1]
+	dst[i] = sep
+	for u >= 100 {
+		q := u / 100
+		j := (u - q*100) * 2
+		i -= 2
+		dst[i], dst[i+1] = twoDigits[j], twoDigits[j+1]
+		u = q
+	}
+	if u >= 10 {
+		dst[i-2], dst[i-1] = twoDigits[2*u], twoDigits[2*u+1]
+	} else {
+		dst[i-1] = byte('0' + u)
+	}
+	return dst
 }
 
 // AppendFloatText appends the shortest-round-trip text of v plus a

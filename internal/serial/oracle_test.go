@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strconv"
 	"testing"
 )
@@ -132,6 +133,12 @@ var parserEdgeCases = []string{
 	"12 abc",
 	"1 2 0.5\n3 4 -1.25\n",
 	"\x00\xff 7",
+	// Tokens the fused integer scan must hand to strconv whole.
+	"12a", "1-2", "+-1", "--1", "9223372036854775807x", "7 12a 8",
+	// 18 and 19 digits next to each separator.
+	"123456789012345678 -123456789012345678\n+123456789012345678\t123456789012345678\r123456789012345678,",
+	"1234567890123456789 -1234567890123456789\n+1234567890123456789\t1234567890123456789\r1234567890123456789,",
+	"1 2\n3 4\n56", // last token ends the chunk with no separator
 }
 
 // layoutFields decodes a record layout of 1–4 fields: the low two bits
@@ -168,4 +175,31 @@ func FuzzParseRecords(f *testing.F) {
 		want, wantErr := oracleParseRecords(in, fields)
 		sameResult(t, in, got, gotErr, want, wantErr)
 	})
+}
+
+// TestAppendIntTextMatchesStrconv holds the in-place formatter to
+// strconv.AppendInt plus the separator, into a dst with and without spare
+// capacity.
+func TestAppendIntTextMatchesStrconv(t *testing.T) {
+	vals := []int64{0, math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}
+	for k, p := 0, int64(1); k <= 18; k, p = k+1, p*10 {
+		vals = append(vals, p-1, p, p+1, -(p - 1), -p, -(p + 1))
+	}
+	rng := rand.New(rand.NewSource(20160618))
+	for i := 0; i < 1_000_000; i++ {
+		v := rng.Int63() >> rng.Intn(63) // every bit length about equally often
+		if rng.Intn(4) == 0 {
+			v = -v
+		}
+		vals = append(vals, v)
+	}
+	spare := make([]byte, 2, 64)
+	for _, v := range vals {
+		want := append(strconv.AppendInt([]byte("ab"), v, 10), '\n')
+		for _, dst := range [][]byte{[]byte("ab")[:2:2], append(spare[:0], "ab"...)} {
+			if got := AppendIntText(dst, v, '\n'); !bytes.Equal(got, want) {
+				t.Fatalf("AppendIntText(%q, %d) = %q, want %q", dst[:2], v, got, want)
+			}
+		}
+	}
 }

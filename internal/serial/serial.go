@@ -11,6 +11,7 @@
 package serial
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -49,14 +50,16 @@ var sepTable = [256]bool{' ': true, '\n': true, '\t': true, '\r': true, ',': tru
 // the parsers can size their output exactly before the parsing pass.
 func countTokens(b []byte) int {
 	n := 0
-	inTok := false
+	prev := 1 // 1 after a separator or at the start
 	for _, c := range b {
+		// Branch-free: a token starts where a separator is followed by a
+		// non-separator, and varying token widths defeat prediction.
+		cur := 0
 		if sepTable[c] {
-			inTok = false
-		} else if !inTok {
-			inTok = true
-			n++
+			cur = 1
 		}
+		n += prev &^ cur
+		prev = cur
 	}
 	return n
 }
@@ -105,18 +108,61 @@ func (p TokenParser) Parse(chunk []byte, final bool) []byte {
 func ParseTokens(chunk []byte, kind FieldKind) ([]byte, error) {
 	w := kind.Width()
 	out := make([]byte, countTokens(chunk)*w)
-	var tok []byte
+	var err error
 	for off, i := 0, 0; off < len(out); off += w {
-		tok, i = nextToken(chunk, i)
-		if err := putField(out[off:], tok, kind); err != nil {
+		if i, err = putNext(out[off:], chunk, i, kind); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// putField writes the binary encoding of one token into dst, which holds
-// at least kind.Width() bytes.
+// putNext writes the binary encoding of the token at or after chunk[i]
+// into dst, which holds at least kind.Width() bytes, and returns the index
+// just past the token. An integer of the form [+-]?[0-9]{1,18}, which
+// cannot overflow int64, is converted in the same scan that finds its end;
+// every other token takes strconv's path (and its errors).
+func putNext(dst, chunk []byte, i int, kind FieldKind) (int, error) {
+	for i < len(chunk) && sepTable[chunk[i]] {
+		i++
+	}
+	if !kind.IsFloat() {
+		j := i
+		if j < len(chunk) && (chunk[j] == '-' || chunk[j] == '+') {
+			j++
+		}
+		digits := j
+		var n int64
+		for ; j < len(chunk); j++ {
+			d := chunk[j] - '0'
+			if d > 9 {
+				break
+			}
+			n = n*10 + int64(d)
+		}
+		if nd := j - digits; nd > 0 && nd <= 18 && (j == len(chunk) || sepTable[chunk[j]]) {
+			if chunk[i] == '-' {
+				n = -n
+			}
+			putInt(dst, n, kind)
+			return j, nil
+		}
+	}
+	tok, end := nextToken(chunk, i)
+	return end, putField(dst, tok, kind)
+}
+
+// putInt writes n as kind, truncating to int32 for FieldInt32.
+func putInt(dst []byte, n int64, kind FieldKind) {
+	if kind == FieldInt32 {
+		binary.LittleEndian.PutUint32(dst, uint32(int32(n)))
+	} else {
+		binary.LittleEndian.PutUint64(dst, uint64(n))
+	}
+}
+
+// putField converts one token with strconv and writes it into dst, which
+// holds at least kind.Width() bytes.
 func putField(dst []byte, tok []byte, kind FieldKind) error {
 	if kind.IsFloat() {
 		f, err := strconv.ParseFloat(string(tok), 64)
@@ -130,44 +176,12 @@ func putField(dst []byte, tok []byte, kind FieldKind) error {
 		}
 		return nil
 	}
-	n, ok := parseShortInt(tok)
-	if !ok {
-		var err error
-		if n, err = strconv.ParseInt(string(tok), 10, 64); err != nil {
-			return &ParseError{Token: string(tok), Err: err}
-		}
+	n, err := strconv.ParseInt(string(tok), 10, 64)
+	if err != nil {
+		return &ParseError{Token: string(tok), Err: err}
 	}
-	if kind == FieldInt32 {
-		binary.LittleEndian.PutUint32(dst, uint32(int32(n)))
-	} else {
-		binary.LittleEndian.PutUint64(dst, uint64(n))
-	}
+	putInt(dst, n, kind)
 	return nil
-}
-
-// parseShortInt is the fast path for decimal integers of the form
-// [+-]?[0-9]{1,18}, which cannot overflow int64. It reports false for
-// every other token, which then takes strconv's path (and its errors).
-func parseShortInt(tok []byte) (int64, bool) {
-	digits := tok
-	if len(digits) > 0 && (digits[0] == '-' || digits[0] == '+') {
-		digits = digits[1:]
-	}
-	if len(digits) == 0 || len(digits) > 18 {
-		return 0, false
-	}
-	var n int64
-	for _, c := range digits {
-		d := c - '0'
-		if d > 9 {
-			return 0, false
-		}
-		n = n*10 + int64(d)
-	}
-	if tok[0] == '-' {
-		n = -n
-	}
-	return n, true
 }
 
 // RecordParser converts line-structured records whose tokens cycle
@@ -203,17 +217,39 @@ func ParseRecords(chunk []byte, fields []FieldKind) ([]byte, error) {
 		recWidth += k.Width()
 	}
 	out := make([]byte, n/len(fields)*recWidth)
-	var tok []byte
+	var err error
 	for off, i := 0, 0; off < len(out); {
 		for _, k := range fields {
-			tok, i = nextToken(chunk, i)
-			if err := putField(out[off:], tok, k); err != nil {
+			if i, err = putNext(out[off:], chunk, i, k); err != nil {
 				return nil, err
 			}
 			off += k.Width()
 		}
 	}
 	return out, nil
+}
+
+// RecordAligner cuts a byte stream at record (newline) boundaries so
+// chunk-structured parsers see whole records. Carry is the partial
+// trailing record held between calls.
+type RecordAligner struct{ Carry []byte }
+
+// Align prepends the carried partial record to chunk and returns the whole
+// records, carrying the tail to the next call; final flushes everything.
+// The result is a fresh buffer, never a slice of chunk.
+func (r *RecordAligner) Align(chunk []byte, final bool) []byte {
+	buf := append(r.Carry, chunk...)
+	r.Carry = nil
+	if final {
+		return buf
+	}
+	i := bytes.LastIndexByte(buf, '\n')
+	if i < 0 {
+		r.Carry = buf
+		return nil
+	}
+	r.Carry = append([]byte(nil), buf[i+1:]...)
+	return buf[:i+1]
 }
 
 // FloatTextFraction estimates the fraction of input bytes that belong to

@@ -32,7 +32,8 @@ type CmdContext struct {
 	Data []byte
 
 	// READ / MREAD data sink: receives the bytes the device DMAs to the
-	// destination address (host DRAM or a peer BAR).
+	// destination address (host DRAM or a peer BAR). A READ payload is
+	// device memory the sink must copy; an MREAD payload is the sink's own.
 	Sink func(p []byte)
 
 	// LastChunk marks the final MREAD of a stream so the firmware can
@@ -633,7 +634,7 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 	// Collect the chunk's pages into D-SRAM (via DRAM), then run the
 	// StorageApp over the whole chunk on the pinned core. Page reads
 	// overlap; VM execution starts when the data is buffered.
-	var chunk []byte
+	chunk := make([]byte, 0, int(nlb)*nvme.LBASize)
 	status, dataAt := c.readPages(t, ctx.Cmd.SLBA(), nlb, func(data []byte, at units.Time) units.Time {
 		chunk = append(chunk, data...)
 		return at
@@ -697,7 +698,7 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 		e := &cacheEntry{
 			key:      key,
 			out:      append([]byte(nil), res.out...),
-			carry:    append([]byte(nil), in.carry...),
+			carry:    append([]byte(nil), in.aligner.Carry...),
 			cpb:      in.cpb,
 			finished: in.finished,
 			retVal:   in.retVal,
@@ -852,9 +853,8 @@ func (c *Controller) LoadFile(startPage int64, data []byte) (slba uint64, nlb ui
 		if end > int64(len(data)) {
 			end = int64(len(data))
 		}
-		page := make([]byte, c.pageSize)
-		copy(page, data[start:end])
-		if _, err := c.FTL.Write(0, ftl.LBA(startPage+p), page); err != nil {
+		// The flash array copies the page and zero-pads its tail.
+		if _, err := c.FTL.Write(0, ftl.LBA(startPage+p), data[start:end]); err != nil {
 			return 0, 0, err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"morpheus/internal/mvm"
+	"morpheus/internal/serial"
 	"morpheus/internal/units"
 )
 
@@ -11,9 +12,10 @@ import (
 // sampled-execution mode for the data plane. It receives a record-aligned
 // (newline-terminated) chunk of the input stream (final==true for the last
 // one, which may lack a trailing newline) and returns the output bytes the
-// StorageApp would have emitted for it. Correctness tests assert
-// NativeFunc ≡ the interpreted StorageApp on whole inputs. Implementations
-// may be stateful closures; a fresh one is created per MINIT.
+// StorageApp would have emitted for it, in a buffer the caller keeps.
+// Correctness tests assert NativeFunc ≡ the interpreted StorageApp on whole
+// inputs. Implementations may be stateful closures; a fresh one is created
+// per MINIT.
 type NativeFunc func(chunk []byte, final bool, args []int64) []byte
 
 // instance is one StorageApp execution (one MINIT..MDEINIT lifetime),
@@ -38,8 +40,8 @@ type instance struct {
 	native  NativeFunc
 	sampled bool // sampled mode active (native != nil && cfg.SampledExecution)
 
-	cpb      float64 // measured cycles per input byte
-	carry    []byte  // partial trailing record for the native parser
+	cpb      float64              // measured cycles per input byte
+	aligner  serial.RecordAligner // carries partial records for the native parser
 	finished bool
 	retVal   int64
 
@@ -110,7 +112,7 @@ func (in *instance) processChunk(chunk []byte, final bool, sampleWindow int64) (
 	}
 	in.updateCPB()
 	cyc := in.cpb * float64(len(chunk))
-	aligned := in.align(chunk, final)
+	aligned := in.aligner.Align(chunk, final)
 	var out []byte
 	if len(aligned) > 0 || final {
 		out = in.native(aligned, final, in.args)
@@ -166,27 +168,6 @@ func (in *instance) interpretChunk(chunk []byte, final bool) (chunkResult, error
 	}
 }
 
-// align prepends the carried partial record and cuts the chunk at the
-// last record (newline) boundary, carrying the tail to the next call.
-// With final==true everything is flushed.
-func (in *instance) align(chunk []byte, final bool) []byte {
-	buf := append(in.carry, chunk...)
-	in.carry = nil
-	if final {
-		return buf
-	}
-	i := len(buf) - 1
-	for i >= 0 && buf[i] != '\n' {
-		i--
-	}
-	if i < 0 {
-		in.carry = buf
-		return nil
-	}
-	in.carry = append([]byte(nil), buf[i+1:]...)
-	return buf[:i+1]
-}
-
 // cacheReplayable reports whether the next chunk's state transition can be
 // replayed from a cache entry without running the VM — the condition both
 // for storing an entry (evaluated before processing) and for applying a
@@ -222,7 +203,7 @@ func (in *instance) applyCache(e *cacheEntry) {
 	in.outBytes = e.outBytes
 	in.cycles = e.cycles
 	in.cpb = e.cpb
-	in.carry = append([]byte(nil), e.carry...)
+	in.aligner.Carry = append([]byte(nil), e.carry...)
 	in.retVal = e.retVal
 	if e.finished {
 		in.finished = true

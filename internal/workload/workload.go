@@ -14,6 +14,7 @@ package workload
 
 import (
 	"math/rand"
+	"strconv"
 
 	"morpheus/internal/serial"
 	"morpheus/internal/units"
@@ -48,6 +49,13 @@ func splitCounts(n int64, k int) []int64 {
 	return out
 }
 
+// intWidth is the text width of one token, its separator included, for
+// integers in [lo, hi]. Generators reserve count*intWidth bytes per shard
+// so the buffer never regrows.
+func intWidth(lo, hi int64) int64 {
+	return int64(max(len(strconv.FormatInt(lo, 10)), len(strconv.FormatInt(hi, 10)))) + 1
+}
+
 // IDBase offsets every generated identifier so tokens have the uniform
 // 8-digit width of web-scale datasets (node ids, dictionary ids), keeping
 // the text-to-binary ratio representative independent of -scale.
@@ -59,9 +67,10 @@ const IDBase = 10_000_000
 func EdgeList(n int64, m int64, shards int, seed int64) Shards {
 	counts := splitCounts(m, shards)
 	out := make(Shards, len(counts))
+	w := 2 * intWidth(IDBase, IDBase+max(n-1, 0))
 	for s, cnt := range counts {
 		rng := rand.New(rand.NewSource(seed + int64(s)*7919))
-		buf := make([]byte, 0, cnt*14)
+		buf := make([]byte, 0, cnt*w)
 		for i := int64(0); i < cnt; i++ {
 			u := rmatNode(rng, n) + IDBase
 			v := rmatNode(rng, n) + IDBase
@@ -73,33 +82,54 @@ func EdgeList(n int64, m int64, shards int, seed int64) Shards {
 	return out
 }
 
+// rmatUpper is a+b, the upper-half bias, scaled by 2^63.
+const rmatUpper = 0.76 * (1 << 63)
+
 // rmatNode samples a node id with recursive quadrant probabilities
-// (a=0.57, b=0.19, c=0.19, d=0.05), the Graph500/RMAT skew.
+// (a=0.57, b=0.19, c=0.19, d=0.05), the Graph500/RMAT skew. Each level
+// takes the draws rng.Float64() would, Int63()/2^63 redrawn when it rounds
+// to 1, and compares them against 0.76 without that (exact) division.
 func rmatNode(rng *rand.Rand, n int64) int64 {
 	lo, hi := int64(0), n
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if rng.Float64() < 0.76 { // a+b: upper half bias
-			hi = mid
-		} else {
+		f := float64(rng.Int63())
+		for f == 1<<63 {
+			f = float64(rng.Int63())
+		}
+		// One select per bound, so each compiles to a conditional move:
+		// the 76/24 draw defeats branch prediction.
+		up := f < rmatUpper
+		if !up {
 			lo = mid
+		}
+		if up {
+			hi = mid
 		}
 	}
 	return lo
 }
 
-// IntArray generates m uniform integers in [0, max) as text, perLine per
+// IntArray generates m uniform integers in [0, bound) as text, perLine per
 // line — the HybridSort input and the generic "ASCII integers" microbench.
-func IntArray(m int64, max int64, perLine int, shards int, seed int64) Shards {
+func IntArray(m int64, bound int64, perLine int, shards int, seed int64) Shards {
+	if perLine <= 0 {
+		perLine = 8
+	}
 	counts := splitCounts(m, shards)
 	out := make(Shards, len(counts))
+	w := intWidth(0, bound-1)
 	for s, cnt := range counts {
 		rng := rand.New(rand.NewSource(seed + int64(s)*104729))
-		vals := make([]int64, cnt)
-		for i := range vals {
-			vals[i] = rng.Int63n(max)
+		buf := make([]byte, 0, cnt*w)
+		for i := int64(0); i < cnt; i++ {
+			sep := byte(' ')
+			if (i+1)%int64(perLine) == 0 || i == cnt-1 {
+				sep = '\n'
+			}
+			buf = serial.AppendIntText(buf, rng.Int63n(bound), sep)
 		}
-		out[s] = serial.EncodeIntsText(vals, perLine)
+		out[s] = buf
 	}
 	return out
 }
@@ -114,9 +144,10 @@ func DictionaryText(tokens int64, vocab int64, docLen int, shards int, seed int6
 	}
 	counts := splitCounts(tokens, shards)
 	out := make(Shards, len(counts))
+	w := intWidth(IDBase, IDBase+max(vocab-1, 0))
 	for s, cnt := range counts {
 		rng := rand.New(rand.NewSource(seed + int64(s)*1299709))
-		buf := make([]byte, 0, cnt*6)
+		buf := make([]byte, 0, cnt*w)
 		for i := int64(0); i < cnt; i++ {
 			id := zipf(rng, vocab) + IDBase
 			sep := byte(' ')
@@ -145,9 +176,10 @@ func zipf(rng *rand.Rand, n int64) int64 {
 func DenseMatrix(r, c int64, bound int64, shards int, seed int64) Shards {
 	counts := splitCounts(r, shards)
 	out := make(Shards, len(counts))
+	w := intWidth(-bound, bound)
 	for s, rows := range counts {
 		rng := rand.New(rand.NewSource(seed + int64(s)*15485863))
-		buf := make([]byte, 0, rows*c*6)
+		buf := make([]byte, 0, rows*c*w)
 		for i := int64(0); i < rows; i++ {
 			for j := int64(0); j < c; j++ {
 				sep := byte(' ')
@@ -167,9 +199,10 @@ func DenseMatrix(r, c int64, bound int64, shards int, seed int64) Shards {
 func Points(m int64, dim int, bound int64, shards int, seed int64) Shards {
 	counts := splitCounts(m, shards)
 	out := make(Shards, len(counts))
+	w := intWidth(-bound, bound)
 	for s, cnt := range counts {
 		rng := rand.New(rand.NewSource(seed + int64(s)*32452843))
-		buf := make([]byte, 0, cnt*int64(dim)*6)
+		buf := make([]byte, 0, cnt*int64(dim)*w)
 		for i := int64(0); i < cnt; i++ {
 			for d := 0; d < dim; d++ {
 				sep := byte(' ')
@@ -191,9 +224,11 @@ func Points(m int64, dim int, bound int64, shards int, seed int64) Shards {
 func SparseTriples(rows, cols, nnz int64, shards int, seed int64) Shards {
 	counts := splitCounts(nnz, shards)
 	out := make(Shards, len(counts))
+	// A 6-digit %g value in [-1, 1) is at most 12 bytes: -1.23457e-16.
+	w := intWidth(IDBase, IDBase+max(rows-1, 0)) + intWidth(IDBase, IDBase+max(cols-1, 0)) + 13
 	for s, cnt := range counts {
 		rng := rand.New(rand.NewSource(seed + int64(s)*49979687))
-		buf := make([]byte, 0, cnt*24)
+		buf := make([]byte, 0, cnt*w)
 		for i := int64(0); i < cnt; i++ {
 			buf = serial.AppendIntText(buf, rng.Int63n(rows)+IDBase, ' ')
 			buf = serial.AppendIntText(buf, rng.Int63n(cols)+IDBase, ' ')

@@ -2,6 +2,9 @@ package workload
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"morpheus/internal/serial"
@@ -170,5 +173,84 @@ func TestShardBalance(t *testing.T) {
 	}
 	if got := shards.TotalSize(); got <= 0 {
 		t.Fatalf("total size = %v", got)
+	}
+}
+
+// TestGeneratorsAllocateOnce: every generator reserves each shard at a
+// per-token width bound taken from its arguments, so it allocates barely
+// more than the bytes it returns instead of regrowing its buffers.
+func TestGeneratorsAllocateOnce(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		gen  func() Shards
+	}{
+		{"EdgeList", func() Shards { return EdgeList(25_000, 200_000, 4, 1) }},
+		{"IntArray", func() Shards { return IntArray(300_000, 1<<30, 8, 4, 1) }},
+		{"DictionaryText", func() Shards { return DictionaryText(400_000, 200_000, 16, 4, 1) }},
+		{"DenseMatrix", func() Shards { return DenseMatrix(150, 2048, 99999999, 4, 1) }},
+		{"Points", func() Shards { return Points(20_000, 16, 99999999, 4, 1) }},
+		{"SparseTriples", func() Shards { return SparseTriples(8_000, 8_000, 120_000, 4, 1) }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		shards := c.gen()
+		runtime.ReadMemStats(&after)
+		alloc := float64(after.TotalAlloc - before.TotalAlloc)
+		ratio := alloc / float64(shards.TotalSize())
+		t.Logf("%s: %.3fx", c.name, ratio)
+		if ratio > 1.25 {
+			t.Errorf("%s allocated %.2fx the %d bytes it returned, want <= 1.25x", c.name, ratio, shards.TotalSize())
+		}
+	}
+}
+
+// scriptedSource replays fixed Int63 values.
+type scriptedSource struct {
+	vals []int64
+	i    int
+}
+
+func (s *scriptedSource) Int63() int64 {
+	v := s.vals[s.i%len(s.vals)]
+	s.i++
+	return v
+}
+
+func (s *scriptedSource) Seed(int64) {}
+
+// TestRmatNodeDrawsLikeFloat64: rmatNode takes and compares exactly the
+// draws rng.Float64() < 0.76 would, including Float64's redraw of values
+// that round to 1 and the values next to the 0.76 threshold.
+func TestRmatNodeDrawsLikeFloat64(t *testing.T) {
+	ref := func(rng *rand.Rand, n int64) int64 {
+		lo, hi := int64(0), n
+		for hi-lo > 1 {
+			mid := (lo + hi) / 2
+			if rng.Float64() < 0.76 {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		return lo
+	}
+	upper := rmatUpper
+	split := int64(upper)
+	vals := []int64{0, 1, math.MaxInt64, math.MaxInt64 - 511, math.MaxInt64 - 512, math.MaxInt64 - 513}
+	for d := int64(-1030); d <= 1030; d++ {
+		vals = append(vals, split+d)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 5000; i++ {
+		vals = append(vals, rng.Int63())
+	}
+	for _, n := range []int64{2, 3, 1000, 1<<20 + 7} {
+		a := rand.New(&scriptedSource{vals: vals})
+		b := rand.New(&scriptedSource{vals: vals})
+		for k := 0; k < 3000; k++ {
+			if want, got := ref(a, n), rmatNode(b, n); got != want {
+				t.Fatalf("n=%d draw %d: rmatNode = %d, Float64 sampler = %d", n, k, got, want)
+			}
+		}
 	}
 }
