@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"morpheus/internal/nvme"
 	"morpheus/internal/serial"
 	"morpheus/internal/ssd"
 	"morpheus/internal/stats"
@@ -254,9 +255,9 @@ func TestP2PRequiresBAR(t *testing.T) {
 	}
 }
 
-func TestSerializeStorageApp(t *testing.T) {
-	// MWRITE direction: binary int32 objects -> decimal text on flash.
-	serSrc := `
+// serializerSrc is the MWRITE-direction StorageApp: binary int32 objects
+// to decimal text on flash, one value per line.
+const serializerSrc = `
 StorageApp int serializer(ms_stream s) {
 	int lo = ms_read_byte(s);
 	while (lo >= 0) {
@@ -273,6 +274,8 @@ StorageApp int serializer(ms_stream s) {
 	return 0;
 }
 `
+
+func TestSerializeStorageApp(t *testing.T) {
 	sys := newTestSystem(t, func(c *SystemConfig) { c.WithGPU = false })
 	// Reserve an output extent.
 	blank := make([]byte, 1<<16)
@@ -281,7 +284,7 @@ StorageApp int serializer(ms_stream s) {
 		t.Fatal(err)
 	}
 	vals := []int32{1, -2, 30000, -400000, 0}
-	app := &StorageApp{Name: "serializer", Source: serSrc}
+	app := &StorageApp{Name: "serializer", Source: serializerSrc}
 	res, err := sys.SerializeStorageApp(0, app, f, serial.EncodeI32(vals), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -289,6 +292,57 @@ StorageApp int serializer(ms_stream s) {
 	want := "1\n-2\n30000\n-400000\n0\n"
 	if string(res.Written) != want {
 		t.Fatalf("serialized %q, want %q", res.Written, want)
+	}
+}
+
+// TestSerializeStorageAppManyChunks pins that each MWRITE lands right
+// after the previous chunk's output. With a one-LBA MDTS and flush
+// threshold and three-digit values, each of the four chunks serializes to
+// exactly one LBA of text, which fills the one-page output extent; the
+// file staged after it must read back intact.
+func TestSerializeStorageAppManyChunks(t *testing.T) {
+	sys := newTestSystem(t, func(c *SystemConfig) {
+		c.WithGPU = false
+		c.SSD.MDTS = nvme.LBASize
+		c.SSD.VM.OutputFlushThreshold = nvme.LBASize
+	})
+	const chunks = 4
+	vals := make([]int32, chunks*nvme.LBASize/4)
+	var want []byte
+	for i := range vals {
+		vals[i] = int32(100 + i%900)
+		want = fmt.Appendf(want, "%d\n", vals[i])
+	}
+	out, err := sys.WriteFile("out.txt", make([]byte, len(want)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := bytes.Repeat([]byte("next file\n"), 4000)
+	nf, err := sys.WriteFile("next.txt", next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := &StorageApp{Name: "serializer", Source: serializerSrc}
+	res, err := sys.SerializeStorageApp(0, app, out, serial.EncodeI32(vals), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Written, want) {
+		t.Fatalf("serialized %d bytes, want %d", len(res.Written), len(want))
+	}
+	got, _, err := sys.ReadRaw(res.Done, nf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, next) {
+		t.Fatal("the file staged after the output extent was overwritten")
+	}
+	got, _, err = sys.ReadRaw(res.Done, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("output file does not read back as the serialized text")
 	}
 }
 

@@ -585,6 +585,7 @@ func (s *System) SerializeStorageApp(ready units.Time, app *StorageApp, f *File,
 			LastChunk: end == int64(len(data)),
 			Sink:      func(p []byte) { res.Written = append(res.Written, p...) },
 		}
+		written := len(res.Written)
 		comp, t2, serr := s.Driver.Submit(t, ctx)
 		if serr != nil {
 			err = serr
@@ -595,7 +596,8 @@ func (s *System) SerializeStorageApp(ready units.Time, app *StorageApp, f *File,
 			err = statusErr("MWRITE", comp.Status)
 			return nil, err
 		}
-		slba += uint64((len(res.Written) + nvme.LBASize - 1) / nvme.LBASize)
+		// The next chunk's output starts after the LBAs this one wrote.
+		slba += uint64((len(res.Written) - written + nvme.LBASize - 1) / nvme.LBASize)
 		if end == int64(len(data)) {
 			break
 		}

@@ -226,6 +226,8 @@ func (vm *VM) scanToken(isFloat bool) State {
 	return StateRunnable
 }
 
-func isSpace(b byte) bool {
-	return b == ' ' || b == '\n' || b == '\t' || b == '\r' || b == ','
-}
+// spaceTable marks the token separators of ms_scanf: space, newline,
+// tab, CR and comma.
+var spaceTable = [256]bool{' ': true, '\n': true, '\t': true, '\r': true, ',': true}
+
+func isSpace(b byte) bool { return spaceTable[b] }

@@ -26,10 +26,23 @@ import (
 // particular stays per instruction — float64 addition is not associative,
 // so batching `n*Instr` per block would change the accumulated value in
 // the last bits; Cycles() must be bit-identical under either engine.
+// For the same reason there is no block-level accounting: a block's steps
+// could be charged at once, but its cycles would still need one float add
+// per instruction, which is most of what `account` costs.
 // Resumable states need no special casing: a pause (NeedInput,
 // OutputFull, FlushRequested) can leave the pc pointing at the interior
 // of a fused pair, and the dispatch loop simply enters the single-op (or
 // differently fused) handler installed at that index.
+//
+// One superinstruction spans a whole loop: the 18-instruction scan->emit
+// loop of the Figure-7 StorageApp (fuseScanEmitLoop). Its handler sits at
+// the loop head and runs whole iterations natively, charging each
+// instruction's Instr, the scan and emit charges and the back-edge's
+// Branch one by one in the interpreter's order. An iteration that could
+// pause or trap anywhere but the emit — the step limit too close, the
+// operand stack too full, or the next token not a plain in-window decimal
+// — is handed to the head's ordinary handler instead, so every trap and
+// pause but output-full happens on the single-op path.
 
 // opFn executes the instruction(s) at one code index. It returns
 // StateRunnable to continue dispatch, or a pause/terminal state.
@@ -110,6 +123,9 @@ func compileProgram(p *Program) *compiledCode {
 		}
 		if f == nil {
 			f = compileOne(p, pc, code[pc])
+		}
+		if loop := fuseScanEmitLoop(code, pc, f); loop != nil {
+			f = loop
 		}
 		ops[pc] = f
 	}
@@ -554,6 +570,137 @@ func genScanStore(pc int, sb Builtin, slot int) opFn {
 		vm.stack = vm.stack[:n-1]
 		vm.pc = pc + 2
 		return StateRunnable
+	}
+}
+
+// scanEmitLoopLen is the length of the Figure-7 loop MorphC emits for
+// `while (ms_scanf(s, "%d", &v) == 1) { ms_emit_i32/i64(v); c = c + 1; }`.
+const scanEmitLoopLen = 18
+
+// fuseScanEmitLoop returns the loop superinstruction for the Figure-7
+// StorageApp's scan->emit loop headed at pc, or nil. The loop is
+//
+//	head:   sys scan_int; store ok; store v; load ok; jz head+7
+//	        load v; store x
+//	head+7: load ok; push 1; eq; jz exit
+//	        load x; sys emit_i32|emit_i64
+//	        load c; push 1; add; store c; jmp head
+//
+// with ok, v, x and c four distinct in-range locals. fallback is the
+// handler the head would otherwise get; the fused handler defers to it
+// for every iteration it cannot run natively.
+func fuseScanEmitLoop(code []Instr, head int, fallback opFn) opFn {
+	if head+scanEmitLoopLen > len(code) {
+		return nil
+	}
+	b := code[head : head+scanEmitLoopLen]
+	ok, v, x, c := b[1].Arg, b[2].Arg, b[6].Arg, b[13].Arg
+	eb := Builtin(b[12].Arg)
+	if eb != SysEmitI32 && eb != SysEmitI64 {
+		return nil
+	}
+	// The eq/add args are ignored by execution, and the exit target is
+	// never taken inside a fused iteration (ok is 1 there).
+	want := [scanEmitLoopLen]Instr{
+		{OpSys, int64(SysScanInt)}, {OpStore, ok}, {OpStore, v}, {OpLoad, ok}, {OpJz, int64(head + 7)},
+		{OpLoad, v}, {OpStore, x},
+		{OpLoad, ok}, {OpPush, 1}, {OpEq, b[9].Arg}, {OpJz, b[10].Arg},
+		{OpLoad, x}, {OpSys, int64(eb)},
+		{OpLoad, c}, {OpPush, 1}, {OpAdd, b[15].Arg}, {OpStore, c}, {OpJmp, int64(head)},
+	}
+	var body [scanEmitLoopLen]Op
+	for k := range want {
+		if b[k] != want[k] {
+			return nil
+		}
+		body[k] = b[k].Op
+	}
+	slots := [4]int64{ok, v, x, c}
+	for i, s := range slots {
+		if !localIdxOK(s) {
+			return nil
+		}
+		for _, t := range slots[:i] {
+			if s == t {
+				return nil
+			}
+		}
+	}
+	return genScanEmitLoop(head, int(ok), int(v), int(x), int(c), eb, body, fallback)
+}
+
+// genScanEmitLoop runs whole iterations of the Figure-7 loop natively: a
+// decimal token is parsed in place, stored to ok/v/x, emitted, and c is
+// incremented, with no operand-stack traffic and one dispatch per
+// iteration instead of eight. Before each iteration it checks that the
+// iteration cannot pause or trap anywhere but the emit: the step limit
+// leaves room for all 18 instructions, the operand stack has room for the
+// scan's two pushes, and the next token is a plain in-window decimal
+// (parseIntToken's fast path, so ok is 1). Otherwise it runs fallback —
+// the head's ordinary scan+store handler — and the single-op handlers
+// take the iteration from there, so EOF, NeedInput, bad tokens and
+// step-limit or overflow traps surface at the interpreter's pc with its
+// message. Cycles are charged in the interpreter's order (one Instr per
+// instruction, the scan charge after the scan's Instr, the emit charge
+// after the emit's, the taken back-edge's Branch last), never as a
+// product, so Cycles() stays bit-identical.
+func genScanEmitLoop(head, ok, v, x, c int, eb Builtin, body [scanEmitLoopLen]Op, fallback opFn) opFn {
+	// Instructions up to and including the emit, then the increment and
+	// back-edge.
+	const toEmit = 13
+	return func(vm *VM) State {
+		locals := vm.frames[len(vm.frames)-1].locals
+		cost := &vm.cost
+		for {
+			if vm.steps > vm.stepLimit-scanEmitLoopLen || len(vm.stack)+2 > vm.cfg.StackLimit {
+				return fallback(vm)
+			}
+			value, end, tokOK := parseIntToken(vm.input, vm.inputPos, vm.inputFinal)
+			if !tokOK {
+				return fallback(vm)
+			}
+			// The charges accumulate in a register; vm.cycles is written
+			// back around the emit, which charges it directly.
+			consumed := end - vm.inputPos
+			cyc := vm.cycles + cost.Instr
+			cyc += cost.ScanIntFixed + cost.ScanIntPerByte*float64(consumed)
+			for k := 1; k < toEmit; k++ {
+				cyc += cost.Instr
+			}
+			vm.cycles = cyc
+			vm.intScans++
+			vm.inputPos = end
+			vm.consumed += int64(consumed)
+			locals[ok] = 1
+			locals[v] = value
+			locals[x] = value
+			vm.steps += toEmit
+			if vm.profile != nil {
+				for _, op := range body[:toEmit] {
+					vm.profile.ops[op]++
+				}
+				vm.profile.noteSys(SysScanInt)
+				vm.profile.noteSys(eb)
+			}
+			vm.pc = head + toEmit - 1
+			vm.sysEmitVal(eb, value) // advances pc to `load c`
+			if vm.state != StateRunnable {
+				return vm.state
+			}
+			cyc = vm.cycles
+			for k := toEmit; k < scanEmitLoopLen; k++ {
+				cyc += cost.Instr
+			}
+			vm.cycles = cyc + cost.Branch
+			locals[c]++
+			vm.steps += scanEmitLoopLen - toEmit
+			if vm.profile != nil {
+				for _, op := range body[toEmit:] {
+					vm.profile.ops[op]++
+				}
+			}
+			vm.pc = head
+		}
 	}
 }
 
@@ -1297,44 +1444,14 @@ func genBadIndex(ins Instr) opFn {
 // tokens — defers to scanToken, whose strconv-based parse defines the
 // semantics.
 func (vm *VM) scanIntFast() State {
-	in, pos := vm.input, vm.inputPos
-	i := pos
-	for i < len(in) && isSpace(in[i]) {
-		i++
-	}
-	start := i
-	for i < len(in) && !isSpace(in[i]) {
-		i++
-	}
-	if i >= len(in) && !vm.inputFinal {
-		// Whitespace or token may continue into the next chunk.
+	value, end, ok := parseIntToken(vm.input, vm.inputPos, vm.inputFinal)
+	if !ok {
 		return vm.scanToken(false)
 	}
-	j := start
-	if j < i && (in[j] == '-' || in[j] == '+') {
-		j++
-	}
-	if j == i || i-j > 18 {
-		return vm.scanToken(false)
-	}
-	var u uint64
-	for ; j < i; j++ {
-		c := in[j] - '0'
-		if c > 9 {
-			return vm.scanToken(false)
-		}
-		u = u*10 + uint64(c)
-	}
-	// 18 digits fit in int64; apply the sign and commit exactly as
-	// scanToken does.
-	value := int64(u)
-	if in[start] == '-' {
-		value = -value
-	}
-	consumed := i - pos
+	consumed := end - vm.inputPos
 	vm.cycles += vm.cost.ScanIntFixed + vm.cost.ScanIntPerByte*float64(consumed)
 	vm.intScans++
-	vm.inputPos = i
+	vm.inputPos = end
 	vm.consumed += int64(consumed)
 	vm.push(value)
 	if err := vm.push(1); err != nil {
@@ -1342,6 +1459,49 @@ func (vm *VM) scanIntFast() State {
 	}
 	vm.pc++
 	return StateRunnable
+}
+
+// parseIntToken is the in-window decimal parse behind scanIntFast and the
+// scan/emit loop superinstruction. It skips whitespace from pos and
+// parses one token ending at end. ok is false — and the caller must defer
+// to scanToken — unless the token is a plain optionally signed decimal of
+// 1 to 18 digits that provably ends inside the window (a separator
+// follows it, or the window is final). Digits are converted in the same
+// pass that finds the token's end.
+func parseIntToken(in []byte, pos int, final bool) (value int64, end int, ok bool) {
+	i := pos
+	for i < len(in) && isSpace(in[i]) {
+		i++
+	}
+	start := i
+	if i < len(in) && (in[i] == '-' || in[i] == '+') {
+		i++
+	}
+	digits := i
+	var u uint64
+	for ; i < len(in); i++ {
+		c := in[i] - '0'
+		if c > 9 {
+			break
+		}
+		u = u*10 + uint64(c)
+	}
+	if n := i - digits; n == 0 || n > 18 {
+		return 0, 0, false
+	}
+	if i < len(in) {
+		if !isSpace(in[i]) {
+			return 0, 0, false // a non-digit inside the token
+		}
+	} else if !final {
+		return 0, 0, false // the token may continue into the next chunk
+	}
+	// 18 digits fit in int64; apply the sign exactly as strconv does.
+	value = int64(u)
+	if in[start] == '-' {
+		value = -value
+	}
+	return value, i, true
 }
 
 // compileSys translates `sys` instructions. The scan and emit builtins get

@@ -14,7 +14,10 @@ import (
 // Run and requires the full observable traces —
 // states after every Run, drained bytes, steps, bit-exact cycles,
 // consumed counts, float ops, scan counts, return values, trap messages,
-// and profile histograms — to be identical.
+// and profile histograms — to be identical. Each schedule runs twice,
+// with profiling on and off: a handler may take a different path when
+// there is no histogram to fill, and with profiling off every field but
+// the (absent) histogram is still compared.
 
 func mustAssemble(tb testing.TB, src string) *Program {
 	tb.Helper()
@@ -93,14 +96,17 @@ done:
 	return sb.String()
 }
 
-// assertEnginesAgree runs the schedule under both engines and diffs the
-// traces.
+// assertEnginesAgree runs the schedule under both engines, with profiling
+// on and off whatever cfg.Profile says, and diffs the traces.
 func assertEnginesAgree(t *testing.T, p *Program, cfg Config, args []int64, input []byte, chunk int) {
 	t.Helper()
-	it := traceEngine(t, p, cfg, (*VM).runInterp, args, input, chunk)
-	ct := traceEngine(t, p, cfg, (*VM).Run, args, input, chunk)
-	if it != ct {
-		t.Fatalf("engines diverge (chunk=%d)\ninterp:\n%s\ncompiled:\n%s", chunk, it, ct)
+	for _, profile := range []bool{true, false} {
+		cfg.Profile = profile
+		it := traceEngine(t, p, cfg, (*VM).runInterp, args, input, chunk)
+		ct := traceEngine(t, p, cfg, (*VM).Run, args, input, chunk)
+		if it != ct {
+			t.Fatalf("engines diverge (chunk=%d profile=%v)\ninterp:\n%s\ncompiled:\n%s", chunk, profile, it, ct)
+		}
 	}
 }
 
@@ -262,7 +268,6 @@ func TestEngineDifferentialKernels(t *testing.T) {
 		for _, chunk := range []int{0, 1, 3, 7, 64, 1 << 20} {
 			for _, thresh := range []int{1, 4, 64, 64 << 10} {
 				cfg := DefaultConfig()
-				cfg.Profile = true
 				cfg.OutputFlushThreshold = thresh
 				assertEnginesAgree(t, p, cfg, nil, input, chunk)
 			}
@@ -278,7 +283,6 @@ func TestEngineMaxStepsSweep(t *testing.T) {
 		input := engineInput(name)
 		for limit := int64(1); limit <= 48; limit++ {
 			cfg := DefaultConfig()
-			cfg.Profile = true
 			cfg.MaxSteps = limit
 			assertEnginesAgree(t, p, cfg, nil, input, 16)
 		}
@@ -349,7 +353,6 @@ func TestEngineTrapEdges(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Profile = true
 			if c.cfg != nil {
 				c.cfg(&cfg)
 			}
@@ -371,20 +374,22 @@ func TestEngineRandomSchedules(t *testing.T) {
 	for name, p := range kernels {
 		input := engineInput(name)
 		for seed := int64(1); seed <= 12; seed++ {
-			it := randomSchedule(t, p, (*VM).runInterp, input, seed)
-			ct := randomSchedule(t, p, (*VM).Run, input, seed)
-			if it != ct {
-				t.Fatalf("%s seed %d: engines diverge\ninterp:\n%s\ncompiled:\n%s", name, seed, it, ct)
+			for _, profile := range []bool{true, false} {
+				it := randomSchedule(t, p, (*VM).runInterp, input, seed, profile)
+				ct := randomSchedule(t, p, (*VM).Run, input, seed, profile)
+				if it != ct {
+					t.Fatalf("%s seed %d profile=%v: engines diverge\ninterp:\n%s\ncompiled:\n%s", name, seed, profile, it, ct)
+				}
 			}
 		}
 	}
 }
 
-func randomSchedule(tb testing.TB, p *Program, run func(*VM) State, input []byte, seed int64) string {
+func randomSchedule(tb testing.TB, p *Program, run func(*VM) State, input []byte, seed int64, profile bool) string {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := DefaultConfig()
-	cfg.Profile = true
+	cfg.Profile = profile
 	cfg.OutputFlushThreshold = 1 + rng.Intn(96)
 	if rng.Intn(2) == 0 {
 		cfg.MaxSteps = int64(50 + rng.Intn(4000))
@@ -434,6 +439,155 @@ func randomSchedule(tb testing.TB, p *Program, run func(*VM) State, input []byte
 		sb.WriteString(prof.String())
 	}
 	return sb.String()
+}
+
+// fig7Src is the Figure-7 StorageApp loop exactly as MorphC emits it
+// (locals ok, v, x=1, c=2), behind a preamble that leaves depth values on
+// the operand stack and enters the loop at entry: "head", or mid-body at
+// "L0" or "inc" (the `load c` after the emit) with ok=1 and x=-5 set as
+// the skipped instructions would have left them.
+func fig7Src(emit, entry string, ok, v, depth int) string {
+	var sb strings.Builder
+	sb.WriteString(".name fig7\n\tpush 0\n\tstore 0\n\tpush 0\n\tstore 2\n")
+	for i := 0; i < depth; i++ {
+		sb.WriteString("\tpush 9\n")
+	}
+	if entry != "head" {
+		fmt.Fprintf(&sb, "\tpush 1\n\tstore %d\n\tpush -5\n\tstore 1\n\tjmp %s\n", ok, entry)
+	}
+	fmt.Fprintf(&sb, `head:
+	sys scan_int
+	store %[1]d
+	store %[2]d
+	load %[1]d
+	jz L0
+	load %[2]d
+	store 1
+L0:
+	load %[1]d
+	push 1
+	eq
+	jz done
+	load 1
+	sys %[3]s
+inc:
+	load 2
+	push 1
+	add
+	store 2
+	jmp head
+done:
+	sys flush
+	load 2
+	halt
+`, ok, v, emit)
+	return sb.String()
+}
+
+// loopHeads returns the pcs that get the scan/emit loop superinstruction.
+func loopHeads(p *Program) []int {
+	var heads []int
+	for pc := range p.Code {
+		if fuseScanEmitLoop(p.Code, pc, nil) != nil {
+			heads = append(heads, pc)
+		}
+	}
+	return heads
+}
+
+// fig7Input mixes every token form the fused loop parses natively (signs,
+// leading zeros, 18 digits, every separator) with 19-digit tokens it hands
+// to scanToken.
+func fig7Input() []byte {
+	var sb strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&sb, "%d ", i*i*7919-1000)
+	}
+	sb.WriteString("+5\t-0,007\r\n123456789012345678 -999999999999999999 ")
+	sb.WriteString("1234567890123456789 -9223372036854775808 42,,  \n 17")
+	return []byte(sb.String())
+}
+
+// TestScanEmitLoopKernels is the battery for the Figure-7 loop
+// superinstruction: int32 and int64 emits, entry at the head and by a
+// jump into mid-body, 1-byte and token-straddling windows, flush
+// thresholds that fire OutputFull inside an iteration, bad and oversized
+// tokens mid-loop, and an aliased-locals variant that must not fuse.
+func TestScanEmitLoopKernels(t *testing.T) {
+	bad := []string{"1 2 3 - 4 5", "1 2 3 + 4", "1 2 3x 4", "1 2 99999999999999999999 3", "1 2 3 -"}
+	for _, emit := range []string{"emit_i32", "emit_i64"} {
+		for _, entry := range []string{"head", "L0", "inc"} {
+			for _, v := range []int{63, 62} {
+				p := mustAssemble(t, fig7Src(emit, entry, 62, v, 0))
+				aliased := v == 62
+				if heads := loopHeads(p); aliased != (len(heads) == 0) {
+					t.Fatalf("%s/%s/v=%d: loop heads %v", emit, entry, v, heads)
+				}
+				for _, chunk := range []int{0, 1, 2, 3, 7, 16} {
+					for _, thresh := range []int{1, 4, 8, 64 << 10} {
+						cfg := DefaultConfig()
+						cfg.OutputFlushThreshold = thresh
+						assertEnginesAgree(t, p, cfg, nil, fig7Input(), chunk)
+					}
+					for _, in := range bad {
+						assertEnginesAgree(t, p, DefaultConfig(), nil, []byte(in), chunk)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScanEmitLoopShape pins the fusion conditions: changing the argument
+// of any loop instruction disables fusion, except the eq/add arguments
+// (ignored by execution) and the exit target (never taken in a fused
+// iteration); so does moving a local out of range.
+func TestScanEmitLoopShape(t *testing.T) {
+	base := mustAssemble(t, fig7Src("emit_i32", "head", 62, 63, 0))
+	heads := loopHeads(base)
+	if len(heads) != 1 {
+		t.Fatalf("loop heads %v, want one", heads)
+	}
+	head := heads[0]
+	for k := 0; k < scanEmitLoopLen; k++ {
+		code := append([]Instr(nil), base.Code...)
+		code[head+k].Arg += 1000
+		free := k == 9 || k == 10 || k == 15
+		if fused := len(loopHeads(&Program{Code: code})) == 1; fused != free {
+			t.Errorf("arg of %v at offset %d changed: fused=%v, want %v", base.Code[head+k], k, fused, free)
+		}
+	}
+	oor := mustAssemble(t, fig7Src("emit_i32", "head", NumLocals, 63, 0))
+	if heads := loopHeads(oor); len(heads) != 0 {
+		t.Errorf("ok local out of range fused at %v", heads)
+	}
+}
+
+// TestScanEmitLoopStepAndStackLimits lands MaxSteps on every one of the
+// loop's 18 offsets across its first iterations, and runs the loop with
+// the operand stack one and two slots short of the scan's needs.
+func TestScanEmitLoopStepAndStackLimits(t *testing.T) {
+	for _, entry := range []string{"head", "L0", "inc"} {
+		p := mustAssemble(t, fig7Src("emit_i32", entry, 62, 63, 0))
+		// The preamble is at most 9 steps; 3 iterations are 54 more.
+		for limit := int64(1); limit <= 9+4*scanEmitLoopLen; limit++ {
+			for _, chunk := range []int{0, 5} {
+				cfg := DefaultConfig()
+				cfg.MaxSteps = limit
+				assertEnginesAgree(t, p, cfg, nil, fig7Input(), chunk)
+			}
+		}
+	}
+	for _, depth := range []int{0, 2} {
+		p := mustAssemble(t, fig7Src("emit_i64", "head", 62, 63, depth))
+		for _, limit := range []int{depth + 1, depth + 2, depth + 3} {
+			for _, chunk := range []int{0, 3} {
+				cfg := DefaultConfig()
+				cfg.StackLimit = limit
+				assertEnginesAgree(t, p, cfg, nil, fig7Input(), chunk)
+			}
+		}
+	}
 }
 
 // TestEngineDefaultIsCompiled pins that every VM executes compiled code:

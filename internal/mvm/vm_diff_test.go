@@ -7,8 +7,9 @@
 // (arithmetic, branches, D-SRAM traffic, calls, decimal printing).
 // Everything observable must match bit for bit: output bytes, cycles,
 // steps, float ops, scan counts, consumed bytes, the state sequence,
-// return values, trap text, and the profile histogram. Package-level edge
-// cases (traps, MaxSteps inside fused pairs, random schedules) live in
+// return values, trap text, and the profile histogram, with profiling on
+// and off. Package-level edge cases (traps, MaxSteps inside fused pairs,
+// random schedules, the loop superinstruction's kernels) live in
 // engine_test.go. This is an external test package because apps imports
 // mvm; it reaches the interpreter through export_test.go.
 package mvm_test
@@ -22,6 +23,7 @@ import (
 	"morpheus/internal/apps"
 	"morpheus/internal/morphc"
 	"morpheus/internal/mvm"
+	"morpheus/internal/serial"
 	"morpheus/internal/units"
 )
 
@@ -95,6 +97,23 @@ done:
 	return r
 }
 
+// diffEngines streams input through both engines, once with profiling on
+// and once with it off whatever cfg.Profile says, diffs each pair of runs,
+// and returns the interpreter's profiled run. With profiling off the
+// histograms are both absent, so every other field is what is compared.
+func diffEngines(t *testing.T, prog *mvm.Program, cfg mvm.Config, input []byte, chunk int) vmRun {
+	t.Helper()
+	var profiled vmRun
+	for _, profile := range []bool{false, true} {
+		cfg.Profile = profile
+		interp := streamVM(t, prog, cfg, mvm.RunInterp, input, chunk)
+		compiled := streamVM(t, prog, cfg, (*mvm.VM).Run, input, chunk)
+		diffVMRuns(t, interp, compiled)
+		profiled = interp
+	}
+	return profiled
+}
+
 // diffVMRuns fails the test on the first field where the two engines'
 // runs disagree.
 func diffVMRuns(t *testing.T, interp, compiled vmRun) {
@@ -150,16 +169,17 @@ func TestEngineDifferentialApps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", app.Name, err)
 		}
+		// Every single-integer-field app runs the Figure-7 loop, which
+		// must get the loop superinstruction.
+		if intApp := len(app.Fields) == 1 && !app.Fields[0].IsFloat(); intApp != (len(mvm.LoopHeads(prog)) == 1) {
+			t.Fatalf("%s: loop superinstruction heads %v", app.Name, mvm.LoopHeads(prog))
+		}
 		for _, seed := range seeds {
 			shards := app.Gen(24*units.KiB, 1, seed)
 			input := shards[0]
 			for _, chunk := range chunks {
 				t.Run(fmt.Sprintf("%s/seed%d/chunk%d", app.Name, seed, chunk), func(t *testing.T) {
-					cfg := mvm.DefaultConfig()
-					cfg.Profile = true
-					interp := streamVM(t, prog, cfg, mvm.RunInterp, input, chunk)
-					compiled := streamVM(t, prog, cfg, (*mvm.VM).Run, input, chunk)
-					diffVMRuns(t, interp, compiled)
+					interp := diffEngines(t, prog, mvm.DefaultConfig(), input, chunk)
 					if interp.trap != "" {
 						t.Fatalf("app trapped: %s", interp.trap)
 					}
@@ -183,11 +203,7 @@ func TestEngineDifferentialOptLevels(t *testing.T) {
 				t.Fatalf("%s: compile O%d: %v", app.Name, lvl, err)
 			}
 			input := app.Gen(8*units.KiB, 1, 99)[0]
-			cfg := mvm.DefaultConfig()
-			cfg.Profile = true
-			interp := streamVM(t, prog, cfg, mvm.RunInterp, input, 1024)
-			compiled := streamVM(t, prog, cfg, (*mvm.VM).Run, input, 1024)
-			diffVMRuns(t, interp, compiled)
+			diffEngines(t, prog, mvm.DefaultConfig(), input, 1024)
 		}
 	}
 }
@@ -417,16 +433,87 @@ func TestEngineDifferentialMicrokernels(t *testing.T) {
 				t.Fatalf("assemble: %v", err)
 			}
 			cfg := mvm.DefaultConfig()
-			cfg.Profile = true
 			// Every kernel halts within ~4M steps; the limit turns a
 			// fault that loops forever into a divergence.
 			cfg.MaxSteps = 20_000_000
-			interp := streamVM(t, prog, cfg, mvm.RunInterp, nil, 0)
-			compiled := streamVM(t, prog, cfg, (*mvm.VM).Run, nil, 0)
-			diffVMRuns(t, interp, compiled)
+			interp := diffEngines(t, prog, cfg, nil, 0)
 			if interp.trap != "" {
 				t.Fatalf("kernel trapped: %s", interp.trap)
 			}
 		})
 	}
+}
+
+// fig7Programs compiles the int32 and int64 Figure-7 StorageApps from the
+// apps sources, keyed by the field kind each emits.
+func fig7Programs(tb testing.TB) map[serial.FieldKind]*mvm.Program {
+	progs := map[serial.FieldKind]*mvm.Program{}
+	for _, app := range apps.All() {
+		if len(app.Fields) != 1 || app.Fields[0].IsFloat() || progs[app.Fields[0]] != nil {
+			continue
+		}
+		prog, err := morphc.Compile(app.StorageSrc, app.Entry)
+		if err != nil {
+			tb.Fatalf("%s: compile: %v", app.Name, err)
+		}
+		progs[app.Fields[0]] = prog
+	}
+	if len(progs) != 2 {
+		tb.Fatalf("found %d Figure-7 StorageApps, want int32 and int64", len(progs))
+	}
+	return progs
+}
+
+// FuzzStorageAppDifferential feeds arbitrary bytes, in windows of an
+// arbitrary size, to the int32 and int64 Figure-7 StorageApps. The
+// compiled engine must match the interpreter bit for bit. The host parser
+// is the second oracle: where serial.ParseTokens accepts the input, the
+// device objects must equal its output; where it rejects the input, the
+// VM must trap. The two accept the same inputs: both split tokens on the
+// same separator set and both define a valid token as one
+// strconv.ParseInt accepts, and int32 objects are the same truncation of
+// the int64 value on both sides.
+func FuzzStorageAppDifferential(f *testing.F) {
+	progs := fig7Programs(f)
+	for _, seed := range []struct {
+		in     string
+		window uint16
+	}{
+		{"1 2 3\n", 0},
+		{"-17,+4\t0007\r\n99", 1},
+		{"123456789012345678 1234567890123456789 -9223372036854775808", 5},
+		{"12 9223372036854775808 3", 3},
+		{"1 - 2", 2},
+		{"4 5x 6", 7},
+		{"   ", 1},
+		{"", 0},
+	} {
+		f.Add([]byte(seed.in), seed.window)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, window uint16) {
+		// A token spanning many small windows is re-scanned on every Feed,
+		// so a run costs up to len(data)^2; the bound keeps each run fast.
+		if len(data) > 4<<10 {
+			t.Skip()
+		}
+		chunk := 0 // feeds everything at once
+		if len(data) > 0 {
+			chunk = int(window) % (len(data) + 1)
+		}
+		for kind, prog := range progs {
+			cfg := mvm.DefaultConfig()
+			interp := streamVM(t, prog, cfg, mvm.RunInterp, data, chunk)
+			compiled := streamVM(t, prog, cfg, (*mvm.VM).Run, data, chunk)
+			diffVMRuns(t, interp, compiled)
+			want, err := serial.ParseTokens(data, kind)
+			switch {
+			case err != nil && interp.trap == "":
+				t.Fatalf("%v: ParseTokens rejects the input (%v), the VM does not trap", kind, err)
+			case err == nil && interp.trap != "":
+				t.Fatalf("%v: ParseTokens accepts the input, the VM traps: %s", kind, interp.trap)
+			case err == nil && !bytes.Equal(interp.out, want):
+				t.Fatalf("%v: device objects %x != host objects %x", kind, interp.out, want)
+			}
+		}
+	})
 }

@@ -59,3 +59,27 @@ func TestRecordAlignerLosslessProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRecordAlignerCarryIsPrivate pins that Align returns records in place
+// but copies the carried tail: overwriting the caller's chunk afterwards,
+// as a reused read buffer would be, must not reach the next call.
+func TestRecordAlignerCarryIsPrivate(t *testing.T) {
+	for _, first := range []string{"1 2\n34", "567"} {
+		a := &RecordAligner{}
+		chunk := []byte(first)
+		out := a.Align(chunk, false)
+		if i := bytes.LastIndexByte(chunk, '\n'); i >= 0 && &out[0] != &chunk[0] {
+			t.Errorf("%q: records copied, want a prefix of the chunk", first)
+		}
+		want := string(a.Carry)
+		for i := range chunk {
+			chunk[i] = 'x'
+		}
+		if string(a.Carry) != want {
+			t.Fatalf("%q: carry %q changed to %q after the chunk was overwritten", first, want, a.Carry)
+		}
+		if got := a.Align([]byte("8\n"), true); string(got) != want+"8\n" {
+			t.Fatalf("%q: next call returned %q, want %q", first, got, want+"8\n")
+		}
+	}
+}

@@ -236,19 +236,23 @@ type RecordAligner struct{ Carry []byte }
 
 // Align prepends the carried partial record to chunk and returns the whole
 // records, carrying the tail to the next call; final flushes everything.
-// The result is a fresh buffer, never a slice of chunk.
+// With no carry the result is a prefix of chunk itself, not a copy, so the
+// caller must leave chunk unmodified while it uses the result. Carry is
+// always a private copy and never aliases chunk.
 func (r *RecordAligner) Align(chunk []byte, final bool) []byte {
-	buf := append(r.Carry, chunk...)
+	buf := chunk
+	if len(r.Carry) > 0 {
+		buf = append(r.Carry, chunk...)
+	}
 	r.Carry = nil
 	if final {
 		return buf
 	}
 	i := bytes.LastIndexByte(buf, '\n')
+	r.Carry = append([]byte(nil), buf[i+1:]...)
 	if i < 0 {
-		r.Carry = buf
 		return nil
 	}
-	r.Carry = append([]byte(nil), buf[i+1:]...)
 	return buf[:i+1]
 }
 
